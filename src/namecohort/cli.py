@@ -46,12 +46,16 @@ def build_manifest(args: argparse.Namespace, inputs: list[Path]) -> dict:
     }
 
 
+def _write_manifest(out: Path, manifest: dict) -> None:
+    sidecar = Path(str(out) + ".manifest.json")
+    sidecar.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                       encoding="utf-8")
+
+
 def _write_output(args: argparse.Namespace, data: bytes, manifest: dict) -> None:
     if args.out:
         Path(args.out).write_bytes(data)
-        sidecar = Path(str(args.out) + ".manifest.json")
-        sidecar.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                           encoding="utf-8")
+        _write_manifest(args.out, manifest)
     else:
         sys.stdout.write(data.decode("utf-8"))
 
@@ -99,10 +103,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     ssa.write_snapshot(table, args.out)
-    manifest = build_manifest(args, year_files)
-    sidecar = Path(str(args.out) + ".manifest.json")
-    sidecar.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
-                       encoding="utf-8")
+    _write_manifest(args.out, build_manifest(args, year_files))
     lo, hi = table.year_range
     print(f"ingested {len(year_files)} year files: years {lo}-{hi}, "
           f"{len(table.names())} names, {len(table)} entries")
@@ -147,7 +148,8 @@ def cmd_shifts(args: argparse.Namespace) -> int:
         return 1
     if args.top is not None:
         records = shifts.top_shift_names(table, y1, y2, k=args.top,
-                                         weighted=args.weighted)
+                                         weighted=args.weighted,
+                                         max_fallback_distance=args.max_fallback)
     else:
         if args.unstable:
             config = shifts.InstabilityConfig(
@@ -155,7 +157,7 @@ def cmd_shifts(args: argparse.Namespace) -> int:
                 range_threshold=args.range_threshold,
                 min_total_births=args.min_births,
             )
-            names = shifts.find_unstable(table, config)
+            names = shifts.find_unstable(table, config, args.max_fallback)
         else:
             names = args.name
         records = []
@@ -168,7 +170,8 @@ def cmd_shifts(args: argparse.Namespace) -> int:
                     raise
                 print(f"skipping {exc}", file=sys.stderr)
     if args.net:
-        value = shifts.net_female_shift(table, [r.name for r in records], y1, y2)
+        value = shifts.net_female_shift(table, [r.name for r in records], y1, y2,
+                                        args.max_fallback)
         payload = {"from_year": y1, "to_year": y2,
                    "names": [r.name for r in records], "net_female_shift": value}
         data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")

@@ -304,6 +304,12 @@ class OverrideEntry:
     venue: str | None = None
     source_note: str = ""
 
+    def __post_init__(self):
+        if (self.year_from is not None and self.year_to is not None
+                and self.year_from > self.year_to):
+            raise ValueError(f"override for {self.key!r} has year_from {self.year_from} "
+                             f"after year_to {self.year_to}")
+
     def applies_to(self, venue: str, year: int) -> bool:
         if self.year_from is not None and year < self.year_from:
             return False
@@ -348,8 +354,9 @@ class OverrideLedger:
 def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
     """Parse the override CSV: key,gender,year_from,year_to,venue,source_note.
 
-    Empty scope cells mean unscoped; gender must be F, M, or U; every entry
-    must carry a source note. Keys are normalized on load.
+    Empty scope cells mean unscoped; gender must be F, M, or U; a year scope
+    needs year_from <= year_to; every entry must carry a source note. Keys
+    are normalized on load.
     """
     reader = csv.reader(stream)
     header = next(reader, None)

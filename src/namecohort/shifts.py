@@ -80,20 +80,21 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     )
 
 
-def _sample_profile(table: NameYearTable, name: str,
-                    config: InstabilityConfig) -> tuple[list[float], int]:
+def _sample_profile(table: NameYearTable, name: str, config: InstabilityConfig,
+                    max_fallback_distance: int) -> tuple[list[float], int]:
     """Known p(F) values at the sample years, plus total births used."""
     ps = []
     births = 0
     for year in config.sample_years:
-        estimate = p_female(table, name, year)
+        estimate = p_female(table, name, year, max_fallback_distance)
         if estimate.known:
             ps.append(estimate.p_female)
             births += estimate.total
     return ps, births
 
 
-def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityConfig()) -> list[str]:
+def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityConfig(),
+                  max_fallback_distance: int = DEFAULT_MAX_FALLBACK) -> list[str]:
     """Names whose p(F) range across the sample years meets the threshold.
 
     A name qualifies when it has known p(F) at two or more sample years
@@ -103,7 +104,7 @@ def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityC
     """
     qualifying = []
     for name in table.names():
-        ps, births = _sample_profile(table, name, config)
+        ps, births = _sample_profile(table, name, config, max_fallback_distance)
         if len(ps) < 2 or births < config.min_total_births:
             continue
         p_range = max(ps) - min(ps)
@@ -114,7 +115,8 @@ def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityC
 
 
 def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
-                    weighted: bool = False) -> list[ShiftRecord]:
+                    weighted: bool = False,
+                    max_fallback_distance: int = DEFAULT_MAX_FALLBACK) -> list[ShiftRecord]:
     """The k largest movers between y1 and y2, descending.
 
     Unweighted ranks by |delta|; weighted ranks by |delta| * weight. Names
@@ -126,7 +128,7 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
     records = []
     for name in table.names():
         try:
-            records.append(gender_shift(table, name, y1, y2))
+            records.append(gender_shift(table, name, y1, y2, max_fallback_distance))
         except EndpointMissingError:
             continue
     if weighted:
@@ -136,7 +138,8 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
     return records[:k]
 
 
-def net_female_shift(table: NameYearTable, names: list[str], y1: int, y2: int) -> float:
+def net_female_shift(table: NameYearTable, names: list[str], y1: int, y2: int,
+                     max_fallback_distance: int = DEFAULT_MAX_FALLBACK) -> float:
     """Weight-normalized mean delta over the given names; positive means the
     set moved toward female association between y1 and y2.
 
@@ -145,6 +148,6 @@ def net_female_shift(table: NameYearTable, names: list[str], y1: int, y2: int) -
     """
     if not names:
         raise ValueError("names must be non-empty")
-    records = [gender_shift(table, name, y1, y2) for name in names]
+    records = [gender_shift(table, name, y1, y2, max_fallback_distance) for name in names]
     total_weight = sum(r.weight for r in records)
     return sum(r.delta * r.weight for r in records) / total_weight

@@ -34,11 +34,14 @@ class SsaFormatError(ValueError):
 
 
 class DuplicateEntryError(ValueError):
-    """The same (name, sex, year) triple appeared twice; input is corrupt."""
+    """The same (name, sex, year) triple, or the same (name, year) table entry
+    (sex None), appeared twice; input is corrupt."""
 
-    def __init__(self, name: str, sex: str, year: int):
+    def __init__(self, name: str, sex: str | None, year: int, where: str | None = None):
         self.triple = (name, sex, year)
-        super().__init__(f"duplicate record for ({name}, {sex}, {year})")
+        key = f"({name}, {year})" if sex is None else f"({name}, {sex}, {year})"
+        prefix = f"{where}: " if where else ""
+        super().__init__(f"{prefix}duplicate record for {key}")
 
 
 class SnapshotFormatError(ValueError):
@@ -68,7 +71,8 @@ class NameYearTable:
 
     Built once via :func:`build_table`; afterwards safe for unlimited
     concurrent readers. Lookups normalize the queried name, so table
-    consumers may pass raw-cased names.
+    consumers may pass raw-cased names. Two keys that normalize to the same
+    (name, year) raise DuplicateEntryError.
     """
 
     __slots__ = ("_counts", "_years_by_name", "_year_range")
@@ -80,7 +84,10 @@ class NameYearTable:
                 raise ValueError(f"negative count for ({name}, {year})")
             if female == 0 and male == 0:
                 raise ValueError(f"empty entry for ({name}, {year})")
-            normalized[(normalize_name(name), year)] = (female, male)
+            key = (normalize_name(name), year)
+            if key in normalized:
+                raise DuplicateEntryError(key[0], None, year)
+            normalized[key] = (female, male)
         self._counts = normalized
         years_by_name: dict[str, list[int]] = {}
         for name, year in normalized:
@@ -232,16 +239,7 @@ def load_fixture() -> NameYearTable:
     mary, john, elizabeth), and a name that died out mid-century
     (gertrude, female-only rows).
     """
-    fixture_dir = resources.files("namecohort") / "data" / "ssa_fixture"
-    records: list[NameCountRecord] = []
-    for entry in sorted(fixture_dir.iterdir(), key=lambda e: e.name):
-        match = _YEAR_FILE_RE.match(entry.name)
-        if not match:
-            continue
-        year = int(match.group(1))
-        records.extend(parse_year_file(entry.read_text(encoding="utf-8").splitlines(),
-                                       year, path=entry.name))
-    return build_table(records)
+    return load_directory(resources.files("namecohort") / "data" / "ssa_fixture")
 
 
 def write_snapshot(table: NameYearTable, path: Path) -> None:
@@ -260,7 +258,8 @@ def read_snapshot(path: Path) -> NameYearTable:
     """Load a snapshot written by :func:`write_snapshot`.
 
     Fails loudly on a missing or mismatched version line so a stale
-    snapshot can never silently mis-answer.
+    snapshot can never silently mis-answer, and on a repeated (name, year)
+    row (DuplicateEntryError naming the line).
     """
     with open(path, encoding="utf-8") as stream:
         magic = stream.readline().strip()
@@ -281,8 +280,11 @@ def read_snapshot(path: Path) -> NameYearTable:
                 raise SnapshotFormatError(f"{path}:{lineno}: malformed snapshot row")
             name, year, female, male = fields
             try:
-                counts[(name, int(year))] = (int(female), int(male))
+                key, value = (name, int(year)), (int(female), int(male))
             except ValueError:
                 raise SnapshotFormatError(
                     f"{path}:{lineno}: non-integer snapshot cell") from None
+            if key in counts:
+                raise DuplicateEntryError(name, None, key[1], where=f"{path}:{lineno}")
+            counts[key] = value
     return NameYearTable(counts)

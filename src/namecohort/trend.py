@@ -16,7 +16,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .corpus import AuthorMention, CorpusRecord
 from .model import (Gender, GenderEstimate, ModelConfig, Thresholds, classify,
@@ -96,44 +96,66 @@ class BiasReport:
     max_gap: float  # gap of largest magnitude, sign preserved
 
 
-def _mention_class(mention: AuthorMention, estimate: GenderEstimate | None,
-                   thresholds: Thresholds) -> Gender:
-    if mention.override_gender is not None:
-        return mention.override_gender
-    if estimate is None:
-        return Gender.UNIDENTIFIED
-    return classify(estimate, thresholds)
+def _value(mention: AuthorMention, estimate: GenderEstimate | None,
+           config: EstimatorConfig, thresholds: Thresholds) -> float | None:
+    """A mention's contribution to its bin's share, or None when unidentified.
+
+    Overrides outrank the estimate. The plain weighted mean contributes
+    p(F) itself; the display encoding and the classified share contribute
+    the value of the mention's class (the classified share ignores any
+    display encoding).
+    """
+    weighted = config.estimator is Estimator.WEIGHTED_MEAN
+    encoding = config.display_encoding if weighted else None
+    gender = mention.override_gender
+    if gender is None:
+        if estimate is None:
+            return None
+        if weighted and encoding is None:
+            return estimate.p_female
+        gender = classify(estimate, thresholds)
+    if gender is Gender.FEMALE:
+        return 1.0 if encoding is None else encoding.female
+    if gender is Gender.MALE:
+        return 0.0 if encoding is None else encoding.male
+    return None
 
 
-def _mention_estimate(mention: AuthorMention, record: CorpusRecord,
-                      table: NameYearTable, model_config: ModelConfig) -> GenderEstimate | None:
-    if mention.first_name is None:
-        return None
-    return shifted_lookup(table, mention.first_name, record.publication_year, model_config)
+def _shares(records: Sequence[CorpusRecord],
+            resolve: Callable[[str, int], GenderEstimate], config: EstimatorConfig,
+            thresholds: Thresholds) -> list[tuple[int | str, float | None, int, int]]:
+    """(bin label, share, n_authors, n_identified) for each non-empty bin, in order.
 
+    resolve maps (first_name, publication_year) to an estimate. The weighted
+    mean fills unidentified mentions with unknown_value (the display
+    encoding with its own unknown value) and divides by n_authors; the
+    classified share drops them and divides by n_identified. fsum is exact,
+    so the order of the fill values cannot change a share.
+    """
+    bins: dict[tuple[str, int], list[float | None]] = {}
+    for record in records:
+        year = record.publication_year
+        start = (year // config.bin_width) * config.bin_width
+        values = bins.setdefault((record.venue if config.group_by_venue else "", start), [])
+        for mention in record.authors:
+            estimate = None if mention.first_name is None else resolve(mention.first_name, year)
+            values.append(_value(mention, estimate, config, thresholds))
 
-def _weighted_value(mention: AuthorMention, estimate: GenderEstimate | None,
-                    unknown_value: float) -> tuple[float, bool]:
-    """(contribution, identified) for the WeightedMean estimator."""
-    if mention.override_gender is Gender.FEMALE:
-        return 1.0, True
-    if mention.override_gender is Gender.MALE:
-        return 0.0, True
-    if mention.override_gender is Gender.UNIDENTIFIED:
-        return unknown_value, False
-    if estimate is not None and estimate.known:
-        return estimate.p_female, True
-    return unknown_value, False
-
-
-def _bin_key(record: CorpusRecord, config: EstimatorConfig) -> tuple[str, int]:
-    start = (record.publication_year // config.bin_width) * config.bin_width
-    return (record.venue if config.group_by_venue else "", start)
-
-
-def _bin_label(key: tuple[str, int], config: EstimatorConfig) -> int | str:
-    venue, start = key
-    return f"{venue}:{start}" if config.group_by_venue else start
+    encoding = config.display_encoding
+    fill = (None if config.estimator is Estimator.CLASSIFIED_SHARE
+            else config.unknown_value if encoding is None else encoding.unknown)
+    shares = []
+    for venue, start in sorted(bins):
+        values = bins[(venue, start)]
+        known = [v for v in values if v is not None]
+        n_authors, identified = len(values), len(known)
+        if fill is not None:
+            share = math.fsum(known + [fill] * (n_authors - identified)) / n_authors
+        else:
+            share = math.fsum(known) / identified if identified else None
+        label = f"{venue}:{start}" if config.group_by_venue else start
+        shares.append((label, share, n_authors, identified))
+    return shares
 
 
 def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
@@ -146,60 +168,12 @@ def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
     outranks the table estimate for its mention. Bins with no records are
     omitted, never zero-filled.
     """
-    bins: dict[tuple[str, int], list[tuple[AuthorMention, GenderEstimate | None]]] = {}
-    for record in records:
-        resolved = [(m, _mention_estimate(m, record, table, model_config))
-                    for m in record.authors]
-        bins.setdefault(_bin_key(record, config), []).extend(resolved)
-
-    points = []
-    for key in sorted(bins):
-        mentions = bins[key]
-        n_authors = len(mentions)
-        if config.estimator is Estimator.WEIGHTED_MEAN:
-            if config.display_encoding is not None:
-                encoding = config.display_encoding
-                values = []
-                identified = 0
-                for mention, estimate in mentions:
-                    cls = _mention_class(mention, estimate, thresholds)
-                    if cls is Gender.FEMALE:
-                        values.append(encoding.female)
-                        identified += 1
-                    elif cls is Gender.MALE:
-                        values.append(encoding.male)
-                        identified += 1
-                    else:
-                        values.append(encoding.unknown)
-                share = math.fsum(values) / n_authors
-            else:
-                values = []
-                identified = 0
-                for mention, estimate in mentions:
-                    value, known = _weighted_value(mention, estimate, config.unknown_value)
-                    values.append(value)
-                    identified += known
-                # fsum keeps the mean exactly permutation-invariant
-                share = math.fsum(values) / n_authors
-        else:
-            females = males = 0
-            for mention, estimate in mentions:
-                cls = _mention_class(mention, estimate, thresholds)
-                if cls is Gender.FEMALE:
-                    females += 1
-                elif cls is Gender.MALE:
-                    males += 1
-            identified = females + males
-            share = females / identified if identified else None
-        points.append(TrendPoint(
-            bin=_bin_label(key, config),
-            share_female=share,
-            n_authors=n_authors,
-            n_identified=identified,
-            n_unidentified=n_authors - identified,
-            estimator=config.estimator,
-        ))
-    return points
+    shares = _shares(records, lambda name, year: shifted_lookup(table, name, year, model_config),
+                     config, thresholds)
+    return [TrendPoint(bin=label, share_female=share, n_authors=n_authors,
+                       n_identified=identified, n_unidentified=n_authors - identified,
+                       estimator=config.estimator)
+            for label, share, n_authors, identified in shares]
 
 
 def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
@@ -213,30 +187,20 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
     convention with unknown = 0.5, and overrides apply identically, so any
     gap comes purely from the lookup year.
     """
-    bins: dict[int, list[tuple[float, float]]] = {}
-    for record in records:
-        for mention in record.authors:
-            temporal_est = _mention_estimate(mention, record, table, model_config)
-            static_est = None
-            if mention.first_name is not None:
-                static_est = p_female(table, mention.first_name, reference_year,
-                                      model_config.max_fallback_distance)
-            temporal, _ = _weighted_value(mention, temporal_est, 0.5)
-            static, _ = _weighted_value(mention, static_est, 0.5)
-            bins.setdefault(record.publication_year, []).append((temporal, static))
-
-    points = []
-    for year in sorted(bins):
-        pairs = bins[year]
-        temporal_share = math.fsum(t for t, _ in pairs) / len(pairs)
-        static_share = math.fsum(s for _, s in pairs) / len(pairs)
-        points.append(BiasPoint(bin=year, temporal_share=temporal_share,
-                                static_share=static_share,
-                                gap=static_share - temporal_share))
+    config, thresholds = EstimatorConfig(), Thresholds()
+    temporal = _shares(records,
+                       lambda name, year: shifted_lookup(table, name, year, model_config),
+                       config, thresholds)
+    static = _shares(records, lambda name, _: p_female(table, name, reference_year,
+                                                        model_config.max_fallback_distance),
+                     config, thresholds)
+    points = tuple(BiasPoint(bin=year, temporal_share=t_share, static_share=s_share,
+                             gap=s_share - t_share)
+                   for (year, t_share, _, _), (_, s_share, _, _) in zip(temporal, static))
     gaps = [p.gap for p in points]
     mean_gap = math.fsum(gaps) / len(gaps) if gaps else 0.0
     max_gap = max(gaps, key=abs) if gaps else 0.0
-    return BiasReport(reference_year=reference_year, points=tuple(points),
+    return BiasReport(reference_year=reference_year, points=points,
                       mean_gap=mean_gap, max_gap=max_gap)
 
 

@@ -1,13 +1,15 @@
-"""Brute-force reference implementations for the shift analytics.
+"""Brute-force reference implementations for the shift and trend analytics.
 
 These work straight off a plain {(name, year): (female, male)} dict with
 exhaustive scans, independent of the library's table and search code, so
-agreement is meaningful.
+agreement is meaningful. Trend oracles take the corpus as plain tuples:
+[(venue, publication_year, [(first_name or None, "F"/"M"/"U" or None), ...])].
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 NAME_POOL = [f"name{i:02d}" for i in range(60)]
 
@@ -34,14 +36,15 @@ def oracle_p(counts: dict, name: str, year: int, max_fallback: int = 10):
 
 def oracle_find_unstable(counts: dict, sample_years=SAMPLE_YEARS,
                          range_threshold: float = 0.3,
-                         min_total_births: int = 500) -> list[str]:
+                         min_total_births: int = 500,
+                         max_fallback: int = 10) -> list[str]:
     names = sorted({n for n, _ in counts})
     qualifying = []
     for name in names:
         ps = []
         births = 0
         for year in sample_years:
-            p, total = oracle_p(counts, name, year)
+            p, total = oracle_p(counts, name, year, max_fallback)
             if p is not None:
                 ps.append(p)
                 births += total
@@ -54,19 +57,20 @@ def oracle_find_unstable(counts: dict, sample_years=SAMPLE_YEARS,
     return [name for _, name in qualifying]
 
 
-def oracle_shift(counts: dict, name: str, y1: int, y2: int):
+def oracle_shift(counts: dict, name: str, y1: int, y2: int, max_fallback: int = 10):
     """(p_start, p_end, delta, weight) or None when an endpoint is missing."""
-    p1, t1 = oracle_p(counts, name, y1)
-    p2, t2 = oracle_p(counts, name, y2)
+    p1, t1 = oracle_p(counts, name, y1, max_fallback)
+    p2, t2 = oracle_p(counts, name, y2, max_fallback)
     if p1 is None or p2 is None:
         return None
     return p1, p2, p2 - p1, (t1 + t2) / 2
 
 
-def oracle_top_shifts(counts: dict, y1: int, y2: int, k: int, weighted: bool):
+def oracle_top_shifts(counts: dict, y1: int, y2: int, k: int, weighted: bool,
+                      max_fallback: int = 10):
     rows = []
     for name in sorted({n for n, _ in counts}):
-        shift = oracle_shift(counts, name, y1, y2)
+        shift = oracle_shift(counts, name, y1, y2, max_fallback)
         if shift is not None:
             rows.append((name, *shift))
     if weighted:
@@ -76,14 +80,118 @@ def oracle_top_shifts(counts: dict, y1: int, y2: int, k: int, weighted: bool):
     return rows[:k]
 
 
-def oracle_net(counts: dict, names: list[str], y1: int, y2: int) -> float:
+def oracle_net(counts: dict, names: list[str], y1: int, y2: int,
+               max_fallback: int = 10) -> float:
     deltas = []
     weights = []
     for name in names:
-        _, _, delta, weight = oracle_shift(counts, name, y1, y2)
+        _, _, delta, weight = oracle_shift(counts, name, y1, y2, max_fallback)
         deltas.append(delta)
         weights.append(weight)
     return sum(d * w for d, w in zip(deltas, weights)) / sum(weights)
+
+
+def _mean(values: list[float]) -> float:
+    """Exactly rounded sum, then one division: the trend layer's mean."""
+    return float(sum(Fraction(v) for v in values)) / len(values)
+
+
+def _cohort_p(counts: dict, name: str, year: int, year_shift: int,
+              max_fallback: int):
+    """p(F) at the birth cohort, clamped to the table's first year."""
+    target = year - year_shift
+    if counts:
+        target = max(target, min(y for _, y in counts))
+    return oracle_p(counts, name, target, max_fallback)[0]
+
+
+def _classify(p, tau_female: float, tau_male: float):
+    if p is None:
+        return "U"
+    if p >= tau_female:
+        return "F"
+    if p <= tau_male:
+        return "M"
+    return "U"
+
+
+def oracle_annual_share(counts: dict, corpus: list, estimator: str = "weighted-mean",
+                        unknown_value: float = 0.5, encoding=None, bin_width: int = 1,
+                        group_by_venue: bool = False, year_shift: int = 30,
+                        max_fallback: int = 10, tau_female: float = 0.8,
+                        tau_male: float = 0.2) -> list[tuple]:
+    """[(bin, share, n_authors, n_identified, n_unidentified)] in bin order.
+
+    encoding is a (female, male, unknown) triple; like the library, the
+    classified-share estimator ignores it.
+    """
+    bins: dict[tuple[str, int], list[tuple[str | None, str | None, int]]] = {}
+    for venue, year, mentions in corpus:
+        key = (venue if group_by_venue else "", year - year % bin_width)
+        bins.setdefault(key, []).extend((first, override, year)
+                                        for first, override in mentions)
+    rows = []
+    for venue, start in sorted(bins):
+        values = []
+        identified = 0
+        for first, override, year in bins[(venue, start)]:
+            p = None if first is None else _cohort_p(counts, first, year,
+                                                     year_shift, max_fallback)
+            gender = override or _classify(p, tau_female, tau_male)
+            if estimator == "classified-share":
+                if gender != "U":
+                    values.append(1.0 if gender == "F" else 0.0)
+                    identified += 1
+            elif encoding is not None:
+                values.append({"F": encoding[0], "M": encoding[1]}.get(gender, encoding[2]))
+                identified += gender != "U"
+            elif override in ("F", "M"):
+                values.append(1.0 if override == "F" else 0.0)
+                identified += 1
+            elif override is None and p is not None:
+                values.append(p)
+                identified += 1
+            else:
+                values.append(unknown_value)
+        n_authors = len(bins[(venue, start)])
+        if estimator == "classified-share":
+            share = values.count(1.0) / identified if identified else None
+        else:
+            share = _mean(values)
+        label = f"{venue}:{start}" if group_by_venue else start
+        rows.append((label, share, n_authors, identified, n_authors - identified))
+    return rows
+
+
+def oracle_bias_report(counts: dict, corpus: list, reference_year: int,
+                       year_shift: int = 30, max_fallback: int = 10):
+    """([(year, temporal, static, gap)], mean_gap, max_gap)."""
+    by_year: dict[int, list[tuple[float, float]]] = {}
+    for _, year, mentions in corpus:
+        for first, override in mentions:
+            if override in ("F", "M"):
+                value = 1.0 if override == "F" else 0.0
+                pair = (value, value)
+            elif override == "U" or first is None:
+                pair = (0.5, 0.5)
+            else:
+                temporal = _cohort_p(counts, first, year, year_shift, max_fallback)
+                static = oracle_p(counts, first, reference_year, max_fallback)[0]
+                pair = (0.5 if temporal is None else temporal,
+                        0.5 if static is None else static)
+            by_year.setdefault(year, []).append(pair)
+    points = []
+    for year in sorted(by_year):
+        temporal = _mean([t for t, _ in by_year[year]])
+        static = _mean([s for _, s in by_year[year]])
+        points.append((year, temporal, static, static - temporal))
+    gaps = [gap for *_, gap in points]
+    mean_gap = _mean(gaps) if gaps else 0.0
+    max_gap = 0.0
+    for gap in gaps:
+        if abs(gap) > abs(max_gap):
+            max_gap = gap
+    return points, mean_gap, max_gap
 
 
 def random_counts(rng: random.Random, max_names: int = 50) -> dict:

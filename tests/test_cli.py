@@ -121,6 +121,30 @@ class TestShifts:
         assert code == 0
         assert payload["net_female_shift"] > 0
 
+    def test_max_fallback_applies_to_top(self, capsys):
+        # no fixture year lies within 0 of 1930, so no name is eligible
+        code, stdout, _ = run(capsys, "shifts", "--from", "1930", "--to", "1975",
+                              "--top", "3", "--max-fallback", "0")
+        assert code == 0
+        assert stdout.splitlines() == ["name,p_start,p_end,delta,weight"]
+
+    def test_max_fallback_applies_to_unstable(self, capsys, fixture_table):
+        off_grid = ("--from", "1925", "--to", "1975", "--unstable",
+                    "--sample-years", "1930,1955,1980")
+        code, stdout, _ = run(capsys, "shifts", *off_grid)
+        assert code == 0 and len(stdout.splitlines()) > 1
+        code, stdout, _ = run(capsys, "shifts", *off_grid, "--max-fallback", "0")
+        assert code == 0
+        assert stdout.splitlines() == ["name,p_start,p_end,delta,weight"]
+
+    def test_max_fallback_applies_to_net(self, capsys, fixture_table):
+        # 1912 is 12 years from the nearest fixture year (1900)
+        code, stdout, _ = run(capsys, "shifts", "--from", "1912", "--to", "1975",
+                              "--name", "Leslie", "--net", "--max-fallback", "20")
+        assert code == 0
+        assert json.loads(stdout)["net_female_shift"] == nc.net_female_shift(
+            fixture_table, ["leslie"], 1912, 1975, max_fallback_distance=20)
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, stderr = run(capsys, "shifts", "--from", "1900", "--to", "2000")
         assert code == 1

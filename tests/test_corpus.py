@@ -216,6 +216,19 @@ class TestOverrides:
             nc.read_override_ledger(io.StringIO(
                 "key,gender,year_from,year_to,venue,source_note\nx y,Q,,,,note\n"))
 
+    def test_ledger_rejects_inverted_year_scope(self):
+        with pytest.raises(ValueError, match="year_from"):
+            OverrideEntry("a b", Gender.FEMALE, year_from=1980, year_to=1979,
+                          source_note="n")
+        assert OverrideEntry("a b", Gender.FEMALE, year_from=1980, year_to=1980,
+                             source_note="n").applies_to("V", 1980)
+        with pytest.raises(CorpusFormatError, match="line 3: .*year_from") as excinfo:
+            nc.read_override_ledger(io.StringIO(
+                "key,gender,year_from,year_to,venue,source_note\n"
+                "x y,F,1970,1980,,note\n"
+                "x y,M,1990,1985,,note\n"))
+        assert excinfo.value.lineno == 3
+
     def test_ledger_rejects_duplicate_scoped_key(self):
         entries = [
             OverrideEntry("a b", Gender.FEMALE, source_note="n1"),

@@ -6,6 +6,8 @@ import namecohort as nc
 from namecohort.shifts import EndpointMissingError
 from conftest import FIXTURE_UNSTABLE
 from oracles import (
+    EXTRA_YEARS,
+    SAMPLE_YEARS,
     oracle_find_unstable,
     oracle_net,
     oracle_top_shifts,
@@ -182,3 +184,28 @@ def test_against_brute_force_oracles_spot_check():
             names = [row[0] for row in want[: rng.randint(1, len(want))]]
             assert nc.net_female_shift(table, names, y1, y2) == oracle_net(
                 counts, names, y1, y2)
+
+
+def test_max_fallback_distance_matches_oracles():
+    rng = random.Random(7)
+    for _ in range(60):
+        counts = random_counts(rng, max_names=20)
+        table = nc.NameYearTable(counts)
+        max_fallback = rng.choice([0, 2, 5, 10, 30])
+        assert nc.find_unstable(table, nc.InstabilityConfig(min_total_births=0),
+                                max_fallback_distance=max_fallback) == \
+            oracle_find_unstable(counts, min_total_births=0, max_fallback=max_fallback)
+
+        y1, y2 = sorted(rng.sample(SAMPLE_YEARS + EXTRA_YEARS + (1915, 1961, 2013), 2))
+        weighted = rng.random() < 0.5
+        got = nc.top_shift_names(table, y1, y2, k=10**6, weighted=weighted,
+                                 max_fallback_distance=max_fallback)
+        want = oracle_top_shifts(counts, y1, y2, k=10**6, weighted=weighted,
+                                 max_fallback=max_fallback)
+        assert [(r.name, r.p_start, r.p_end, r.delta, r.weight) for r in got] == want
+
+        if want:
+            names = [row[0] for row in want[: rng.randint(1, len(want))]]
+            assert nc.net_female_shift(table, names, y1, y2,
+                                       max_fallback_distance=max_fallback) == \
+                oracle_net(counts, names, y1, y2, max_fallback=max_fallback)

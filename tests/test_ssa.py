@@ -191,3 +191,17 @@ def test_snapshot_rejects_corrupt_numeric_cells(tmp_path):
                     "ada,198x,1,2\n")
     with pytest.raises(SnapshotFormatError, match="non-integer"):
         nc.read_snapshot(path)
+
+
+def test_table_rejects_keys_that_normalize_alike():
+    with pytest.raises(DuplicateEntryError) as excinfo:
+        nc.NameYearTable({("Leslie", 1900): (1, 2), ("leslie", 1900): (3, 4)})
+    assert excinfo.value.triple == ("leslie", None, 1900)
+
+
+def test_snapshot_rejects_repeated_row_naming_its_line(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text(f"{SNAPSHOT_MAGIC}\nname,year,female_count,male_count\n"
+                    "ada,1980,1,2\nbob,1980,0,4\nada,1980,5,6\n")
+    with pytest.raises(DuplicateEntryError, match=r"dup\.csv:5: .*\(ada, 1980\)"):
+        nc.read_snapshot(path)

@@ -5,9 +5,11 @@ from dataclasses import replace
 import pytest
 
 import namecohort as nc
-from namecohort.corpus import make_mention
+from namecohort.corpus import AuthorMention, make_mention
 from namecohort.model import Gender
 from namecohort.trend import Estimator
+
+from oracles import NAME_POOL, oracle_annual_share, oracle_bias_report, random_counts
 
 
 def rec(year, *authors, venue="V", rid=None):
@@ -233,3 +235,69 @@ def test_emit_series_sorts_rows_by_bin(fixture_table):
     shuffled = list(reversed(points))
     lines = nc.emit_series(shuffled, "csv").decode().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["1950", "1990"]
+
+
+def random_plain_corpus(rng):
+    """A corpus as the oracles' plain tuples: pool names present in the
+    table or absent from it, initial-only mentions, and F/M/U overrides."""
+    corpus = []
+    for _ in range(rng.randint(1, 20)):
+        mentions = [(rng.choice(NAME_POOL + [None]),
+                     rng.choice([None, None, None, "F", "M", "U"]))
+                    for _ in range(rng.randint(1, 5))]
+        corpus.append((rng.choice(["VA", "VB", "VC"]), rng.randint(1900, 2045),
+                       mentions))
+    return corpus
+
+
+def library_corpus(plain):
+    return [nc.CorpusRecord(
+        record_id=f"r{i}", venue=venue, publication_year=year,
+        authors=tuple(AuthorMention(raw=f"{first or 'X.'} Doe", first_name=first,
+                                    override_gender=Gender(override) if override else None)
+                      for first, override in mentions))
+        for i, (venue, year, mentions) in enumerate(plain)]
+
+
+def test_trend_matches_brute_force_oracles_exactly():
+    rng = random.Random(2024)
+    for _ in range(100):
+        counts = random_counts(rng, max_names=20)
+        table = nc.NameYearTable(counts)
+        plain = random_plain_corpus(rng)
+        records = library_corpus(plain)
+        model_config = nc.ModelConfig(year_shift=rng.choice([0, 30, 45]),
+                                      max_fallback_distance=rng.choice([0, 3, 10]))
+        model_kwargs = {"year_shift": model_config.year_shift,
+                        "max_fallback": model_config.max_fallback_distance}
+        tau_female, tau_male = rng.choice([(0.8, 0.2), (0.6, 0.4), (0.95, 0.05)])
+        thresholds = nc.Thresholds(tau_female=tau_female, tau_male=tau_male)
+        encoding = rng.choice([nc.DisplayEncoding(), nc.DisplayEncoding(0.9, 0.1, 0.4)])
+        for estimator, unknown_value, display in [
+                (Estimator.WEIGHTED_MEAN, 0.5, None),
+                (Estimator.WEIGHTED_MEAN, rng.random(), None),
+                (Estimator.WEIGHTED_MEAN, 0.5, encoding),
+                (Estimator.CLASSIFIED_SHARE, 0.5, None),
+                (Estimator.CLASSIFIED_SHARE, 0.5, encoding)]:
+            config = nc.EstimatorConfig(estimator=estimator, unknown_value=unknown_value,
+                                        display_encoding=display,
+                                        bin_width=rng.choice([1, 1, 5, 7]),
+                                        group_by_venue=rng.random() < 0.5)
+            points = nc.annual_share(records, table, model_config, thresholds, config)
+            want = oracle_annual_share(
+                counts, plain, estimator=estimator.value, unknown_value=unknown_value,
+                encoding=(display.female, display.male, display.unknown) if display else None,
+                bin_width=config.bin_width, group_by_venue=config.group_by_venue,
+                tau_female=tau_female, tau_male=tau_male, **model_kwargs)
+            assert [(p.bin, p.share_female, p.n_authors, p.n_identified,
+                     p.n_unidentified) for p in points] == want
+            assert all(p.estimator is estimator for p in points)
+        reference_year = rng.randint(1890, 2010)
+        report = nc.present_bias_report(records, table, model_config,
+                                        reference_year=reference_year)
+        want_points, want_mean, want_max = oracle_bias_report(
+            counts, plain, reference_year, **model_kwargs)
+        assert [(p.bin, p.temporal_share, p.static_share, p.gap)
+                for p in report.points] == want_points
+        assert (report.reference_year, report.mean_gap, report.max_gap) == \
+            (reference_year, want_mean, want_max)
