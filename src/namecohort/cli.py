@@ -78,7 +78,7 @@ def _load_corpus(args: argparse.Namespace) -> list[corpus.CorpusRecord]:
         fmt = "dblp" if path.suffix.lower() == ".xml" else "csv"
     if fmt == "dblp":
         with open(path, "rb") as stream:
-            result = corpus.parse_dblp_subset(stream)
+            result = corpus.parse_dblp_subset(stream, strict=args.strict)
     else:
         with open(path, encoding="utf-8", newline="") as stream:
             result = corpus.parse_corpus_csv(stream, strict=args.strict)
@@ -170,8 +170,7 @@ def cmd_shifts(args: argparse.Namespace) -> int:
                     raise
                 print(f"skipping {exc}", file=sys.stderr)
     if args.net:
-        value = shifts.net_female_shift(table, [r.name for r in records], y1, y2,
-                                        args.max_fallback)
+        value = shifts.net_shift(records)
         payload = {"from_year": y1, "to_year": y2,
                    "names": [r.name for r in records], "net_female_shift": value}
         data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")

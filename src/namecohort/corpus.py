@@ -12,7 +12,7 @@ import csv
 import logging
 import xml.parsers.expat
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from .model import Gender
 from .names import extract_first_name, normalize_full_name
@@ -173,8 +173,12 @@ class _DblpHandler:
     element early.
     """
 
-    def __init__(self, result: CorpusParseResult):
+    def __init__(self, result: CorpusParseResult, strict: bool,
+                 offset: Callable[[], int]):
         self.result = result
+        self._strict = strict
+        self._offset = offset  # byte offset of the event being handled
+        self._start = 0  # byte offset of the current publication's start tag
         self._current: dict | None = None
         self._depth = 0
         self._text_tag: str | None = None
@@ -185,6 +189,7 @@ class _DblpHandler:
             if tag in _PUBLICATION_TAGS:
                 self._current = {"tag": tag, "key": attrs.get("key"),
                                  "authors": [], "year": None, "venue": ""}
+                self._start = self._offset()
                 self._depth = 0
         else:
             self._depth += 1
@@ -245,24 +250,32 @@ class _DblpHandler:
         ))
 
     def _skip(self, problem: str) -> None:
+        if self._strict:
+            raise DblpParseError(problem, self._start)
         self.result.skipped += 1
         self.result.problems.append(problem)
 
 
-def parse_dblp_subset(stream: IO[bytes] | IO[str]) -> CorpusParseResult:
+def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> CorpusParseResult:
     """Stream-parse DBLP-style XML: article/inproceedings elements with a key
     attribute, repeated author children, a year, and an optional venue
     (booktitle or journal). Everything else is ignored.
 
     Memory stays bounded by a single publication element regardless of file
     size. Publications missing a key, a usable year, or any author are
-    skipped and tallied. Malformed XML (including entities beyond the XML
-    built-ins) raises DblpParseError with the byte offset. The input may be
-    a whole document or a root-less fragment stream.
+    skipped and tallied; in strict mode the first of them raises
+    DblpParseError with the byte offset of its start tag. Malformed XML
+    (including entities beyond the XML built-ins) raises DblpParseError
+    with the byte offset. The input may be a whole document or a root-less
+    fragment stream.
     """
     result = CorpusParseResult()
-    handler = _DblpHandler(result)
     parser = xml.parsers.expat.ParserCreate()
+
+    def offset() -> int:
+        return max(0, parser.CurrentByteIndex - len(_STREAM_WRAPPER_OPEN))
+
+    handler = _DblpHandler(result, strict, offset)
     parser.buffer_text = True
     parser.SetParamEntityParsing(xml.parsers.expat.XML_PARAM_ENTITY_PARSING_NEVER)
     parser.StartElementHandler = handler.start_element
@@ -270,8 +283,7 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str]) -> CorpusParseResult:
     parser.CharacterDataHandler = handler.characters
 
     def reject_entity_decl(*_args):
-        raise DblpParseError("entity declarations are not supported",
-                             max(0, parser.CurrentByteIndex - len(_STREAM_WRAPPER_OPEN)))
+        raise DblpParseError("entity declarations are not supported", offset())
 
     parser.EntityDeclHandler = reject_entity_decl
     parser.ExternalEntityRefHandler = lambda *a: 0

@@ -10,6 +10,7 @@ birth year, lookups for authors shift back by a configurable number of years
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .ssa import NameYearTable
@@ -98,16 +99,21 @@ def p_female(table: NameYearTable, name: str, year: int,
     toward the earlier year) and the distance is recorded. When no year
     qualifies the estimate is Unknown.
     """
-    counts = table.counts(name, year)
-    if counts is not None:
-        female, male = counts
+    years, females, males = table.columns(name)
+    i = bisect_left(years, year)
+    if i < len(years) and years[i] == year:
+        female, male = females[i], males[i]
         return GenderEstimate(female / (female + male), female, male, year)
-    candidates = [y for y in table.years_for(name)
-                  if abs(y - year) <= max_fallback_distance]
-    if not candidates:
+    # The nearest years with data are years[i - 1] below and years[i] above.
+    best = None
+    if i > 0 and year - years[i - 1] <= max_fallback_distance:
+        best = i - 1
+    if i < len(years) and years[i] - year <= max_fallback_distance and (
+            best is None or years[i] - year < year - years[best]):
+        best = i
+    if best is None:
         return GenderEstimate(None, *_UNKNOWN_COUNTS, lookup_year=year)
-    nearest = min(candidates, key=lambda y: (abs(y - year), y))
-    female, male = table.counts(name, nearest)  # type: ignore[misc]
+    nearest, female, male = years[best], females[best], males[best]
     return GenderEstimate(female / (female + male), female, male,
                           lookup_year=nearest, fallback_distance=abs(nearest - year))
 

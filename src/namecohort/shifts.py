@@ -146,8 +146,13 @@ def net_female_shift(table: NameYearTable, names: list[str], y1: int, y2: int,
     Every name must resolve at both years. The normalization keeps the
     result in [-1, 1] and invariant under uniform scaling of the weights.
     """
-    if not names:
+    return net_shift([gender_shift(table, name, y1, y2, max_fallback_distance)
+                      for name in names])
+
+
+def net_shift(records: list[ShiftRecord]) -> float:
+    """Weight-normalized mean delta of shift records already computed."""
+    if not records:
         raise ValueError("names must be non-empty")
-    records = [gender_shift(table, name, y1, y2, max_fallback_distance) for name in names]
     total_weight = sum(r.weight for r in records)
     return sum(r.delta * r.weight for r in records) / total_weight

@@ -11,16 +11,20 @@ from __future__ import annotations
 
 import functools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
+from operator import add, lt
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .names import normalize_name
 
 _YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
 
-SNAPSHOT_MAGIC = "# namecohort-table v1"
+SNAPSHOT_MAGIC = "# namecohort-table v2"
+SNAPSHOT_HEADER = "name,years,female_counts,male_counts"
 
 
 class SsaFormatError(ValueError):
@@ -45,7 +49,7 @@ class DuplicateEntryError(ValueError):
 
 
 class SnapshotFormatError(ValueError):
-    """A table snapshot file is missing or has an unsupported version."""
+    """A table snapshot has an unsupported version or a malformed line."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,68 +70,170 @@ class NameCountRecord:
             raise ValueError("name must be non-empty")
 
 
-class NameYearTable:
-    """Immutable map from (name, year) to (female_count, male_count).
+# One name's years, ascending, with the female and male count for each.
+Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_NO_COLUMNS: Columns = ((), (), ())
+# The loader's merge state: {name: {year: count}} for females, then males.
+_Slots = tuple[dict[str, dict[int, int]], dict[str, dict[int, int]]]
 
-    Built once via :func:`build_table`; afterwards safe for unlimited
-    concurrent readers. Lookups normalize the queried name, so table
-    consumers may pass raw-cased names. Two keys that normalize to the same
-    (name, year) raise DuplicateEntryError.
+
+class NameYearTable:
+    """Immutable map from (name, year) to (female_count, male_count), stored by name.
+
+    Each normalized name holds three tuples of equal length: its years
+    ascending, and the female and male count for each year. The mapping
+    constructor groups its input into that layout; the year-file loader and
+    :func:`read_snapshot` build it directly. Afterwards the table is safe for
+    unlimited concurrent readers. Lookups normalize the queried name, so
+    table consumers may pass raw-cased names. Two keys that normalize to the
+    same (name, year) raise DuplicateEntryError.
     """
 
-    __slots__ = ("_counts", "_years_by_name", "_year_range")
+    __slots__ = ("_columns", "_names", "_len", "_year_range")
 
     def __init__(self, counts: Mapping[tuple[str, int], tuple[int, int]]):
-        normalized: dict[tuple[str, int], tuple[int, int]] = {}
-        for (name, year), (female, male) in counts.items():
+        normalize = functools.cache(normalize_name)
+        females: dict[str, dict[int, int]] = {}
+        males: dict[str, dict[int, int]] = {}
+        for (raw_name, year), (female, male) in counts.items():
             if female < 0 or male < 0:
-                raise ValueError(f"negative count for ({name}, {year})")
+                raise ValueError(f"negative count for ({raw_name}, {year})")
             if female == 0 and male == 0:
-                raise ValueError(f"empty entry for ({name}, {year})")
-            key = (normalize_name(name), year)
-            if key in normalized:
-                raise DuplicateEntryError(key[0], None, year)
-            normalized[key] = (female, male)
-        self._counts = normalized
-        years_by_name: dict[str, list[int]] = {}
-        for name, year in normalized:
-            years_by_name.setdefault(name, []).append(year)
-        self._years_by_name = {n: tuple(sorted(ys)) for n, ys in years_by_name.items()}
-        all_years = [year for _, year in normalized]
-        self._year_range = (min(all_years), max(all_years)) if all_years else None
+                raise ValueError(f"empty entry for ({raw_name}, {year})")
+            name = normalize(raw_name)
+            female_years = females.setdefault(name, {})
+            male_years = males.setdefault(name, {})
+            if year in female_years or year in male_years:
+                raise DuplicateEntryError(name, None, year)
+            if female:
+                female_years[year] = female
+            if male:
+                male_years[year] = male
+        self._set_columns(_group((females, males)))
+
+    @classmethod
+    def _from_columns(cls, columns: dict[str, Columns]) -> NameYearTable:
+        """A table over columns that are already normalized, sorted and checked."""
+        table = cls.__new__(cls)
+        table._set_columns(columns)
+        return table
+
+    def _set_columns(self, columns: dict[str, Columns]) -> None:
+        self._columns = columns
+        self._names = tuple(sorted(columns))
+        self._len = sum(len(years) for years, _, _ in columns.values())
+        self._year_range = (
+            (min(years[0] for years, _, _ in columns.values()),
+             max(years[-1] for years, _, _ in columns.values()))
+            if columns else None
+        )
 
     @property
     def year_range(self) -> tuple[int, int] | None:
         """(min_year, max_year) with data, or None for an empty table."""
         return self._year_range
 
+    def columns(self, name: str) -> Columns:
+        """(years, female_counts, male_counts) for the name; empty tuples when absent."""
+        return self._columns.get(normalize_name(name), _NO_COLUMNS)
+
     def counts(self, name: str, year: int) -> tuple[int, int] | None:
         """Exact-year (female, male) counts, or None when absent."""
-        return self._counts.get((normalize_name(name), year))
+        years, females, males = self.columns(name)
+        i = bisect_left(years, year)
+        if i < len(years) and years[i] == year:
+            return females[i], males[i]
+        return None
 
     def years_for(self, name: str) -> tuple[int, ...]:
         """All years with data for the name, ascending."""
-        return self._years_by_name.get(normalize_name(name), ())
+        return self.columns(name)[0]
 
     def names(self) -> tuple[str, ...]:
         """All names in the table, sorted."""
-        return tuple(sorted(self._years_by_name))
+        return self._names
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return self._len
 
     def __contains__(self, key: tuple[str, int]) -> bool:
-        name, year = key
-        return (normalize_name(name), year) in self._counts
+        return self.counts(*key) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NameYearTable):
             return NotImplemented
-        return self._counts == other._counts
+        return self._columns == other._columns
 
     def __repr__(self) -> str:
         span = f"{self._year_range[0]}-{self._year_range[1]}" if self._year_range else "empty"
-        return f"NameYearTable({len(self._counts)} entries, years {span})"
+        return f"NameYearTable({self._len} entries, years {span})"
+
+
+def _group(slots: _Slots) -> dict[str, Columns]:
+    """Turn per-sex {name: {year: count}} slots into sorted per-name columns;
+    a year missing for one sex counts 0 there."""
+    females, males = slots
+    columns = {}
+    for name in females.keys() | males.keys():
+        female, male = females.get(name, {}), males.get(name, {})
+        years = tuple(sorted(female.keys() | male.keys()))
+        columns[name] = (years, tuple(map(female.get, years, repeat(0))),
+                         tuple(map(male.get, years, repeat(0))))
+    return columns
+
+
+def _rows(stream: IO[str] | Iterable[str], path: str | None,
+          normalize: Callable[[str], str]) -> Iterator[tuple[int, str, str, int]]:
+    """(line number, normalized name, sex, count) for each row of a year file.
+
+    Raises SsaFormatError on the first malformed line (wrong field count,
+    sex outside {F, M}, non-integer or zero count, empty name). Blank lines
+    are skipped.
+    """
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise SsaFormatError(f"expected 3 comma-separated fields, got {len(fields)}",
+                                 lineno, path)
+        raw_name, sex, raw_count = fields
+        if sex != "F" and sex != "M":
+            raise SsaFormatError(f"invalid sex code {sex!r}", lineno, path)
+        if not raw_count.isdecimal():
+            raise SsaFormatError(f"invalid count {raw_count!r}", lineno, path)
+        count = int(raw_count)
+        if count < 1:
+            raise SsaFormatError("count must be >= 1", lineno, path)
+        name = normalize(raw_name)
+        if not name:
+            raise SsaFormatError("empty name", lineno, path)
+        yield lineno, name, sex, count
+
+
+def _fill(slots: _Slots, year: int, rows: Iterable[tuple[int | None, str, str, int]]
+          ) -> tuple[int | None, str, str, int] | None:
+    """Put each (line number, name, sex, count) row of one year into its slot:
+    ``slots[sex][name][year] = count``.
+
+    A slot that is already filled is a repeated (name, sex, year) triple,
+    which the source never has: the slot keeps its count and the first such
+    row is returned. Returns None otherwise.
+    """
+    females, males = slots
+    repeated = None
+    for row in rows:
+        _, name, sex, count = row
+        side = females if sex == "F" else males
+        by_year = side.get(name)
+        if by_year is None:
+            side[name] = {year: count}
+        elif year not in by_year:
+            by_year[year] = count
+        elif repeated is None:
+            repeated = row
+    return repeated
 
 
 def parse_year_file(stream: IO[str] | Iterable[str], year: int,
@@ -138,28 +244,8 @@ def parse_year_file(stream: IO[str] | Iterable[str], year: int,
     sex outside {F, M}, non-integer or zero count, empty name). An empty
     stream yields an empty list.
     """
-    records = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise SsaFormatError(f"expected 3 comma-separated fields, got {len(fields)}",
-                                 lineno, path)
-        raw_name, sex, raw_count = fields
-        if sex not in ("F", "M"):
-            raise SsaFormatError(f"invalid sex code {sex!r}", lineno, path)
-        if not raw_count.isdigit():
-            raise SsaFormatError(f"invalid count {raw_count!r}", lineno, path)
-        count = int(raw_count)
-        if count < 1:
-            raise SsaFormatError("count must be >= 1", lineno, path)
-        name = normalize_name(raw_name)
-        if not name:
-            raise SsaFormatError("empty name", lineno, path)
-        records.append(NameCountRecord(name=name, sex=sex, count=count, year=year))
-    return records
+    return [NameCountRecord(name, sex, count, year)
+            for _, name, sex, count in _rows(stream, path, normalize_name)]
 
 
 def build_table(records: Iterable[NameCountRecord]) -> NameYearTable:
@@ -169,17 +255,13 @@ def build_table(records: Iterable[NameCountRecord]) -> NameYearTable:
     source distribution never repeats a triple, so duplication signals
     corrupted input rather than data to be summed.
     """
-    counts: dict[tuple[str, int], list[int]] = {}
-    seen: set[tuple[str, str, int]] = set()
+    normalize = functools.cache(normalize_name)
+    slots: _Slots = ({}, {})
     for record in records:
-        name = normalize_name(record.name)
-        triple = (name, record.sex, record.year)
-        if triple in seen:
+        name = normalize(record.name)
+        if _fill(slots, record.year, [(None, name, record.sex, record.count)]):
             raise DuplicateEntryError(name, record.sex, record.year)
-        seen.add(triple)
-        entry = counts.setdefault((name, record.year), [0, 0])
-        entry[0 if record.sex == "F" else 1] += record.count
-    return NameYearTable({key: (f, m) for key, (f, m) in counts.items()})
+    return NameYearTable._from_columns(_group(slots))
 
 
 def serialize_table(table: NameYearTable) -> dict[int, str]:
@@ -191,8 +273,7 @@ def serialize_table(table: NameYearTable) -> dict[int, str]:
     """
     by_year: dict[int, list[tuple[str, str, int]]] = {}
     for name in table.names():
-        for year in table.years_for(name):
-            female, male = table.counts(name, year)  # type: ignore[misc]
+        for year, female, male in zip(*table.columns(name)):
             if female:
                 by_year.setdefault(year, []).append((name, "F", female))
             if male:
@@ -215,18 +296,29 @@ def iter_year_files(directory: Path) -> Iterator[tuple[int, Path]]:
 def load_directory(directory: Path) -> NameYearTable:
     """Parse every year file in a directory and build the merged table.
 
-    Files may be parsed in any order; the merge is deterministic. Raises
-    FileNotFoundError when the directory holds no year files.
+    One pass puts each row into its (name, sex, year) slot, normalizing each
+    distinct raw name once. Files may be parsed in any order; the merge is
+    deterministic. Raises FileNotFoundError when the directory holds no
+    year files, SsaFormatError on the first malformed line, and, when every
+    line parses, DuplicateEntryError naming the first repeated (name, sex,
+    year) row.
     """
-    records: list[NameCountRecord] = []
+    normalize = functools.cache(normalize_name)
+    slots: _Slots = ({}, {})
+    duplicate: DuplicateEntryError | None = None
     found = False
     for year, path in iter_year_files(Path(directory)):
         found = True
         with open(path, encoding="utf-8") as stream:
-            records.extend(parse_year_file(stream, year, path=str(path)))
+            repeated = _fill(slots, year, _rows(stream, str(path), normalize))
+        if repeated and duplicate is None:
+            lineno, name, sex, _ = repeated
+            duplicate = DuplicateEntryError(name, sex, year, where=f"{path}:{lineno}")
     if not found:
         raise FileNotFoundError(f"no yobYYYY.txt year files found in {directory}")
-    return build_table(records)
+    if duplicate is not None:
+        raise duplicate
+    return NameYearTable._from_columns(_group(slots))
 
 
 @functools.lru_cache(maxsize=1)
@@ -243,34 +335,67 @@ def load_fixture() -> NameYearTable:
 
 
 def write_snapshot(table: NameYearTable, path: Path) -> None:
-    """Write a versioned CSV snapshot of the table."""
-    lines = [SNAPSHOT_MAGIC, "name,year,female_count,male_count"]
-    entries = sorted(
-        (name, year) for name in table.names() for year in table.years_for(name)
-    )
-    for name, year in entries:
-        female, male = table.counts(name, year)  # type: ignore[misc]
-        lines.append(f"{name},{year},{female},{male}")
+    """Write a versioned snapshot of the table, one line per name.
+
+    Names are sorted; each line is ``name,years,female_counts,male_counts``
+    with the three columns as space-separated integers, years ascending.
+    """
+    lines = [SNAPSHOT_MAGIC, SNAPSHOT_HEADER]
+    for name in table.names():
+        lines.append(",".join([name, *(" ".join(map(str, column))
+                                       for column in table.columns(name))]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _check_row(name: str, years: tuple[int, ...], females: tuple[int, ...],
+               males: tuple[int, ...], where: str) -> None:
+    """Raise for a decoded snapshot row that :func:`write_snapshot` cannot write."""
+    if not years:
+        raise SnapshotFormatError(f"{where}: row has no years")
+    if not len(years) == len(females) == len(males):
+        raise SnapshotFormatError(
+            f"{where}: ragged row: {len(years)} years, {len(females)} female counts, "
+            f"{len(males)} male counts")
+    if not all(map(lt, years, years[1:])):
+        before, year = next((a, b) for a, b in zip(years, years[1:]) if a >= b)
+        if before == year:
+            raise DuplicateEntryError(name, None, year, where=where)
+        raise SnapshotFormatError(f"{where}: years out of order ({before} before {year})")
+    if min(females) < 0 or min(males) < 0:
+        year = next(y for y, f, m in zip(years, females, males) if f < 0 or m < 0)
+        raise SnapshotFormatError(f"{where}: negative count for ({name}, {year})")
+    if 0 in map(add, females, males):
+        year = next(y for y, f, m in zip(years, females, males) if f == m == 0)
+        raise SnapshotFormatError(f"{where}: empty entry for ({name}, {year})")
 
 
 def read_snapshot(path: Path) -> NameYearTable:
     """Load a snapshot written by :func:`write_snapshot`.
 
-    Fails loudly on a missing or mismatched version line so a stale
-    snapshot can never silently mis-answer, and on a repeated (name, year)
-    row (DuplicateEntryError naming the line).
+    Every line is decoded and checked before the table is returned, so a
+    corrupt row fails the load even for a name nobody looks up. A missing
+    or different version line, a v1 snapshot included, raises
+    SnapshotFormatError asking for a re-ingest, so a stale snapshot can
+    never silently mis-answer. A malformed row (field count, non-integer
+    cell, no years, ragged columns, years out of order, negative counts, a
+    0/0 entry) raises SnapshotFormatError; a repeated year, or a name that
+    repeats or normalizes like an earlier one, raises DuplicateEntryError
+    (for the repeated line, its first year). Each error names ``path:line``.
     """
     with open(path, encoding="utf-8") as stream:
         magic = stream.readline().strip()
         if magic != SNAPSHOT_MAGIC:
             raise SnapshotFormatError(
-                f"{path}: unsupported table snapshot (expected {SNAPSHOT_MAGIC!r})"
+                f"{path}: unsupported table snapshot (expected {SNAPSHOT_MAGIC!r}); "
+                "re-run `namecohort ingest` to rebuild it"
             )
         header = stream.readline().strip()
-        if header != "name,year,female_count,male_count":
+        if header != SNAPSHOT_HEADER:
             raise SnapshotFormatError(f"{path}: unexpected snapshot header {header!r}")
-        counts: dict[tuple[str, int], tuple[int, int]] = {}
+        # Years and small counts repeat across names: decode each cell text once
+        # and share the resulting int objects.
+        number = functools.cache(int)
+        columns: dict[str, Columns] = {}
         for lineno, line in enumerate(stream, start=3):
             line = line.strip()
             if not line:
@@ -278,13 +403,15 @@ def read_snapshot(path: Path) -> NameYearTable:
             fields = line.split(",")
             if len(fields) != 4:
                 raise SnapshotFormatError(f"{path}:{lineno}: malformed snapshot row")
-            name, year, female, male = fields
             try:
-                key, value = (name, int(year)), (int(female), int(male))
+                years, females, males = (tuple(map(number, cell.split()))
+                                         for cell in fields[1:])
             except ValueError:
                 raise SnapshotFormatError(
                     f"{path}:{lineno}: non-integer snapshot cell") from None
-            if key in counts:
-                raise DuplicateEntryError(name, None, key[1], where=f"{path}:{lineno}")
-            counts[key] = value
-    return NameYearTable(counts)
+            name = normalize_name(fields[0])
+            _check_row(name, years, females, males, f"{path}:{lineno}")
+            if name in columns:
+                raise DuplicateEntryError(name, None, years[0], where=f"{path}:{lineno}")
+            columns[name] = (years, females, males)
+    return NameYearTable._from_columns(columns)

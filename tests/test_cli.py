@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 import namecohort as nc
+from namecohort import shifts
 from namecohort.cli import main
 
 FIXTURE_DIR = str(resources.files("namecohort") / "data" / "ssa_fixture")
@@ -121,6 +122,18 @@ class TestShifts:
         assert code == 0
         assert payload["net_female_shift"] > 0
 
+    def test_net_mode_reuses_the_shift_records(self, capsys, monkeypatch):
+        calls = []
+        lookup = shifts.p_female
+        monkeypatch.setattr(shifts, "p_female", lambda *a: calls.append(a) or lookup(*a))
+        argv = ("shifts", "--from", "1925", "--to", "1975", "--unstable")
+        assert run(capsys, *argv)[0] == 0
+        rows_calls = len(calls)
+        calls.clear()
+        assert run(capsys, *argv, "--net")[0] == 0
+        assert rows_calls > 0
+        assert len(calls) <= rows_calls
+
     def test_max_fallback_applies_to_top(self, capsys):
         # no fixture year lies within 0 of 1930, so no name is eligible
         code, stdout, _ = run(capsys, "shifts", "--from", "1930", "--to", "1975",
@@ -234,6 +247,19 @@ class TestAnalyze:
         code, _, stderr = run(capsys, "analyze", "--corpus", str(corpus), "--strict")
         assert code == 1
         assert "line 2" in stderr
+
+    def test_strict_mode_aborts_on_dblp_publication(self, capsys, tmp_path):
+        xml = tmp_path / "c.xml"
+        body = (b'<dblp><article key="a"><author>Mary A</author><year>1980</year></article>'
+                b'<article key="b"><author>Ann B</author><year>80</year></article></dblp>')
+        xml.write_bytes(body)
+        code, _, stderr = run(capsys, "analyze", "--corpus", str(xml))
+        assert code == 0
+        assert "skipped 1" in stderr
+        code, _, stderr = run(capsys, "analyze", "--corpus", str(xml), "--strict")
+        assert code == 1
+        offset = body.index(b'<article key="b"')
+        assert f"byte {offset}: b: year 80 out of range" in stderr
 
     def test_dblp_corpus_autodetected(self, capsys, tmp_path):
         xml = tmp_path / "c.xml"

@@ -5,11 +5,13 @@ import pytest
 
 import namecohort as nc
 from namecohort.ssa import (
+    SNAPSHOT_HEADER,
     SNAPSHOT_MAGIC,
     DuplicateEntryError,
     SnapshotFormatError,
     SsaFormatError,
 )
+from oracles import EXTRA_YEARS, SAMPLE_YEARS, oracle_p, random_counts
 
 
 def test_parse_year_file_attaches_year():
@@ -187,7 +189,7 @@ def test_record_invariants_enforced():
 
 def test_snapshot_rejects_corrupt_numeric_cells(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text(f"{SNAPSHOT_MAGIC}\nname,year,female_count,male_count\n"
+    path.write_text(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\n"
                     "ada,198x,1,2\n")
     with pytest.raises(SnapshotFormatError, match="non-integer"):
         nc.read_snapshot(path)
@@ -201,7 +203,59 @@ def test_table_rejects_keys_that_normalize_alike():
 
 def test_snapshot_rejects_repeated_row_naming_its_line(tmp_path):
     path = tmp_path / "dup.csv"
-    path.write_text(f"{SNAPSHOT_MAGIC}\nname,year,female_count,male_count\n"
+    path.write_text(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\n"
                     "ada,1980,1,2\nbob,1980,0,4\nada,1980,5,6\n")
     with pytest.raises(DuplicateEntryError, match=r"dup\.csv:5: .*\(ada, 1980\)"):
+        nc.read_snapshot(path)
+
+
+def test_snapshot_round_trip_preserves_every_lookup(tmp_path):
+    rng = random.Random(7)
+    cases = [{}] + [random_counts(rng, max_names=4) for _ in range(10)]
+    years = SAMPLE_YEARS + EXTRA_YEARS + (1850, 1880, 2020, 2040)
+    for i, counts in enumerate(cases):
+        table = nc.NameYearTable(counts)
+        path = tmp_path / f"table{i}.csv"
+        nc.write_snapshot(table, path)
+        loaded = nc.read_snapshot(path)
+        assert loaded == table and len(loaded) == len(counts)
+        first_year = min((year for _, year in counts), default=None)
+        names = sorted({name for name, _ in counts}) + ["absent"]
+        for cap in range(31):
+            config = nc.ModelConfig(year_shift=30, max_fallback_distance=cap)
+            for name in names:
+                for year in years:
+                    estimate = nc.p_female(loaded, name, year, cap)
+                    assert (estimate.p_female, estimate.total) == oracle_p(counts, name, year, cap)
+                    shifted = nc.shifted_lookup(loaded, name, year + 30, config)
+                    target = year if first_year is None else max(year, first_year)
+                    assert shifted.p_female == oracle_p(counts, name, target, cap)[0]
+
+
+def test_snapshot_rejects_v1_file(tmp_path):
+    path = tmp_path / "v1.csv"
+    path.write_text("# namecohort-table v1\nname,year,female_count,male_count\n"
+                    "ada,1980,1,2\n")
+    with pytest.raises(SnapshotFormatError,
+                       match=r"unsupported table snapshot.*re-run `namecohort ingest`"):
+        nc.read_snapshot(path)
+
+
+@pytest.mark.parametrize("line, error, fragment", [
+    ("bob,1980 1981,1 2", SnapshotFormatError, "malformed snapshot row"),
+    ("bob,1980 198x,1 2,3 4", SnapshotFormatError, "non-integer snapshot cell"),
+    ("bob,,,", SnapshotFormatError, "row has no years"),
+    ("bob,1980 1981,1 2,3", SnapshotFormatError, "ragged row"),
+    ("bob,1981 1980,1 2,3 4", SnapshotFormatError, r"years out of order \(1981 before 1980\)"),
+    ("bob,1980 1980,1 2,3 4", DuplicateEntryError, r"\(bob, 1980\)"),
+    ("ada,1990,1,2", DuplicateEntryError, r"\(ada, 1990\)"),
+    ("ADA,1990,1,2", DuplicateEntryError, r"\(ada, 1990\)"),
+    ("bob,1980 1981,1 -2,3 4", SnapshotFormatError, r"negative count for \(bob, 1981\)"),
+    ("bob,1980 1981,1 0,3 0", SnapshotFormatError, r"empty entry for \(bob, 1981\)"),
+], ids=["field-count", "non-integer", "no-years", "ragged", "out-of-order",
+        "repeated-year", "repeated-name", "names-normalize-alike", "negative", "zero-entry"])
+def test_snapshot_rejects_corrupt_row_naming_its_line(tmp_path, line, error, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\nada,1980,1,2\n{line}\n")
+    with pytest.raises(error, match=rf"bad\.csv:4: .*{fragment}"):
         nc.read_snapshot(path)
