@@ -1,9 +1,10 @@
 """Command-line interface for reproducible batch workflows.
 
 Every invocation is a deterministic batch run: identical inputs, flags, and
-seed produce byte-identical outputs. When writing to a file via --out, a
-.manifest.json sidecar records the subcommand, all flag values, input file
-digests, and the tool version so any result can be re-derived.
+seed produce byte-identical outputs. Each subcommand accepts only the flags
+it reads. When writing to a file via --out, a .manifest.json sidecar records
+the subcommand, its flag values, input file digests, and the tool version so
+any result can be re-derived.
 """
 
 from __future__ import annotations
@@ -25,22 +26,15 @@ def _sha256(path: Path) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def build_manifest(args: argparse.Namespace, inputs: list[Path]) -> dict:
-    options = {key: _jsonable(val) for key, val in vars(args).items() if key != "func"}
+def build_manifest(args: argparse.Namespace, inputs: list[Path | None]) -> dict:
+    options = {key: str(val) if isinstance(val, Path) else val
+               for key, val in vars(args).items() if key != "func"}
     return {
         "tool": "namecohort",
         "version": __version__,
         "subcommand": args.subcommand,
         "table_format": TABLE_FORMAT,
-        "seed": args.seed,
+        "seed": vars(args).get("seed"),
         "options": options,
         "inputs": {str(p): _sha256(p) for p in inputs if p is not None},
     }
@@ -72,7 +66,7 @@ def _model_config(args: argparse.Namespace) -> model.ModelConfig:
 
 
 def _load_corpus(args: argparse.Namespace) -> list[corpus.CorpusRecord]:
-    path = Path(args.corpus)
+    path = args.corpus
     fmt = args.corpus_format
     if fmt == "auto":
         fmt = "dblp" if path.suffix.lower() == ".xml" else "csv"
@@ -85,7 +79,7 @@ def _load_corpus(args: argparse.Namespace) -> list[corpus.CorpusRecord]:
     if result.skipped:
         print(f"skipped {result.skipped} malformed entries in {path}", file=sys.stderr)
     records = result.records
-    if getattr(args, "overrides", None):
+    if args.overrides:
         with open(args.overrides, encoding="utf-8", newline="") as stream:
             ledger = corpus.read_override_ledger(stream)
         records = corpus.apply_overrides(records, ledger)
@@ -195,7 +189,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         print("error: provide --population-size or --ids-file", file=sys.stderr)
         return 1
     spec = sampling.sample_size(population, args.margin, args.confidence)
-    manifest = build_manifest(args, [Path(args.ids_file)] if args.ids_file else [])
+    manifest = build_manifest(args, [args.ids_file])
     header = {"spec": dataclasses.asdict(spec), "manifest": manifest}
     lines = [json.dumps(header, sort_keys=True)]
     if ids is not None:
@@ -223,9 +217,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     thresholds = model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male)
     points = trend.annual_share(records, table, _model_config(args), thresholds, config)
     data = trend.emit_series(points, args.format)
-    inputs = [Path(args.corpus), args.table,
-              Path(args.overrides) if args.overrides else None]
-    _write_output(args, data, build_manifest(args, inputs))
+    _write_output(args, data, build_manifest(args, [args.corpus, args.table, args.overrides]))
     return 0
 
 
@@ -235,9 +227,7 @@ def cmd_bias_report(args: argparse.Namespace) -> int:
     report = trend.present_bias_report(records, table, _model_config(args),
                                        reference_year=args.reference_year)
     data = trend.emit_series(report, args.format)
-    inputs = [Path(args.corpus), args.table,
-              Path(args.overrides) if args.overrides else None]
-    _write_output(args, data, build_manifest(args, inputs))
+    _write_output(args, data, build_manifest(args, [args.corpus, args.table, args.overrides]))
     return 0
 
 
@@ -254,38 +244,37 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"namecohort {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--table", type=Path, default=None,
-                        help="table snapshot written by 'ingest' "
-                             "(default: bundled fixture table)")
-    common.add_argument("--out", type=Path, default=None,
-                        help="write output to this file plus a .manifest.json "
-                             "sidecar (default: stdout)")
-    common.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="output format for tabular results")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized step")
-    common.add_argument("--strict", action="store_true",
-                        help="abort on malformed corpus rows instead of "
-                             "skipping and tallying them")
+    out_arg = argparse.ArgumentParser(add_help=False)
+    out_arg.add_argument("--out", type=Path, default=None,
+                         help="write output to this file plus a .manifest.json "
+                              "sidecar (default: stdout)")
 
-    lookup = argparse.ArgumentParser(add_help=False)
-    lookup.add_argument("--shift", type=int, default=model.DEFAULT_YEAR_SHIFT,
-                        help="years subtracted from a publication year to reach "
-                             "the birth cohort")
-    lookup.add_argument("--max-fallback", type=int, default=model.DEFAULT_MAX_FALLBACK,
-                        help="farthest nearby year to borrow counts from when the "
-                             "exact year has none")
+    table_args = argparse.ArgumentParser(add_help=False)
+    table_args.add_argument("--table", type=Path, default=None,
+                            help="table snapshot written by 'ingest' "
+                                 "(default: bundled fixture table)")
+    table_args.add_argument("--max-fallback", type=int, default=model.DEFAULT_MAX_FALLBACK,
+                            help="farthest nearby year to borrow counts from when "
+                                 "the exact year has none")
+
+    shift_arg = argparse.ArgumentParser(add_help=False)
+    shift_arg.add_argument("--shift", type=int, default=model.DEFAULT_YEAR_SHIFT,
+                           help="years subtracted from a publication year to reach "
+                                "the birth cohort")
+
+    format_arg = argparse.ArgumentParser(add_help=False)
+    format_arg.add_argument("--format", choices=["csv", "json"], default="csv",
+                            help="output format for tabular results")
 
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="command")
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
-    p = sub.add_parser("ingest", parents=[common], formatter_class=fmt,
+    p = sub.add_parser("ingest", parents=[out_arg], formatter_class=fmt,
                        help="parse a directory of yobYYYY.txt files into a table snapshot")
     p.add_argument("ssa_dir", type=Path, help="directory of yobYYYY.txt files")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("pf", parents=[common, lookup], formatter_class=fmt,
+    p = sub.add_parser("pf", parents=[table_args, shift_arg, out_arg], formatter_class=fmt,
                        help="look up the female probability of a name")
     p.add_argument("name", help="first name to look up")
     group = p.add_mutually_exclusive_group(required=True)
@@ -294,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="publication year; the lookup shifts back to the birth cohort")
     p.set_defaults(func=cmd_pf)
 
-    p = sub.add_parser("shifts", parents=[common, lookup], formatter_class=fmt,
+    p = sub.add_parser("shifts", parents=[table_args, format_arg, out_arg],
+                       formatter_class=fmt,
                        help="quantify gender-association movement between two years")
     p.add_argument("--from", dest="from_year", type=int, required=True,
                    help="start year")
@@ -319,8 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimum total births across sample years to count as unstable")
     p.set_defaults(func=cmd_shifts)
 
-    p = sub.add_parser("sample", parents=[common], formatter_class=fmt,
+    p = sub.add_parser("sample", parents=[out_arg], formatter_class=fmt,
                        help="compute a sample size and optionally draw ids")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for the draw from --ids-file")
     p.add_argument("--population-size", type=int, default=None,
                    help="population size N (default: count of ids in --ids-file)")
     p.add_argument("--margin", type=float, default=0.05,
@@ -334,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "sample) instead of the computed minimum")
     p.set_defaults(func=cmd_sample)
 
-    corpus_args = argparse.ArgumentParser(add_help=False)
+    corpus_args = argparse.ArgumentParser(
+        add_help=False, parents=[table_args, shift_arg, format_arg, out_arg])
     corpus_args.add_argument("--corpus", type=Path, required=True,
                              help="corpus file (CSV or DBLP-style XML)")
     corpus_args.add_argument("--corpus-format", choices=["auto", "csv", "dblp"],
@@ -342,9 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="corpus file format (auto: by extension)")
     corpus_args.add_argument("--overrides", type=Path, default=None,
                              help="override ledger CSV of qualitative identifications")
+    corpus_args.add_argument("--strict", action="store_true",
+                             help="abort on malformed corpus rows instead of "
+                                  "skipping and tallying them")
 
-    p = sub.add_parser("analyze", parents=[common, lookup, corpus_args],
-                       formatter_class=fmt,
+    p = sub.add_parser("analyze", parents=[corpus_args], formatter_class=fmt,
                        help="aggregate a corpus into a women's-share series")
     p.add_argument("--estimator", choices=[e.value for e in trend.Estimator],
                    default=trend.Estimator.WEIGHTED_MEAN.value,
@@ -362,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="classify Male at or below this p(F)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("bias-report", parents=[common, lookup, corpus_args],
-                       formatter_class=fmt,
+    p = sub.add_parser("bias-report", parents=[corpus_args], formatter_class=fmt,
                        help="compare cohort-shifted shares against a static "
                             "reference-year predictor")
     p.add_argument("--reference-year", type=int, required=True,

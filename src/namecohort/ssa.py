@@ -182,34 +182,50 @@ def _group(slots: _Slots) -> dict[str, Columns]:
     return columns
 
 
+def _undecodable_line(path: str | Path) -> int:
+    """The 1-based line of the file's first byte that is not UTF-8 (a text
+    stream decodes in chunks, so its decode error does not say)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    raise ValueError(f"{path}: changed while it was read")
+
+
 def _rows(stream: IO[str] | Iterable[str], path: str | None,
           normalize: Callable[[str], str]) -> Iterator[tuple[int, str, str, int]]:
     """(line number, normalized name, sex, count) for each row of a year file.
 
     Raises SsaFormatError on the first malformed line (wrong field count,
-    sex outside {F, M}, non-integer or zero count, empty name). Blank lines
-    are skipped.
+    sex outside {F, M}, non-integer or zero count, empty name, or, when the
+    path is given, bytes that are not UTF-8). Blank lines are skipped.
     """
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise SsaFormatError(f"expected 3 comma-separated fields, got {len(fields)}",
-                                 lineno, path)
-        raw_name, sex, raw_count = fields
-        if sex != "F" and sex != "M":
-            raise SsaFormatError(f"invalid sex code {sex!r}", lineno, path)
-        if not raw_count.isdecimal():
-            raise SsaFormatError(f"invalid count {raw_count!r}", lineno, path)
-        count = int(raw_count)
-        if count < 1:
-            raise SsaFormatError("count must be >= 1", lineno, path)
-        name = normalize(raw_name)
-        if not name:
-            raise SsaFormatError("empty name", lineno, path)
-        yield lineno, name, sex, count
+    try:
+        for lineno, line in enumerate(stream, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise SsaFormatError(f"expected 3 comma-separated fields, got {len(fields)}",
+                                     lineno, path)
+            raw_name, sex, raw_count = fields
+            if sex != "F" and sex != "M":
+                raise SsaFormatError(f"invalid sex code {sex!r}", lineno, path)
+            if not raw_count.isdecimal():
+                raise SsaFormatError(f"invalid count {raw_count!r}", lineno, path)
+            count = int(raw_count)
+            if count < 1:
+                raise SsaFormatError("count must be >= 1", lineno, path)
+            name = normalize(raw_name)
+            if not name:
+                raise SsaFormatError("empty name", lineno, path)
+            yield lineno, name, sex, count
+    except UnicodeDecodeError as exc:
+        if path is None:
+            raise
+        raise SsaFormatError(f"not UTF-8 ({exc.reason})", _undecodable_line(path), path) from None
 
 
 def _fill(slots: _Slots, year: int, rows: Iterable[tuple[int | None, str, str, int]]
@@ -241,8 +257,9 @@ def parse_year_file(stream: IO[str] | Iterable[str], year: int,
     """Parse one year file into records, attaching the given year.
 
     Raises SsaFormatError on the first malformed line (wrong field count,
-    sex outside {F, M}, non-integer or zero count, empty name). An empty
-    stream yields an empty list.
+    sex outside {F, M}, non-integer or zero count, empty name, or, when the
+    stream was opened from path, bytes that are not UTF-8). An empty stream
+    yields an empty list.
     """
     return [NameCountRecord(name, sex, count, year)
             for _, name, sex, count in _rows(stream, path, normalize_name)]
@@ -378,40 +395,45 @@ def read_snapshot(path: Path) -> NameYearTable:
     SnapshotFormatError asking for a re-ingest, so a stale snapshot can
     never silently mis-answer. A malformed row (field count, non-integer
     cell, no years, ragged columns, years out of order, negative counts, a
-    0/0 entry) raises SnapshotFormatError; a repeated year, or a name that
-    repeats or normalizes like an earlier one, raises DuplicateEntryError
-    (for the repeated line, its first year). Each error names ``path:line``.
+    0/0 entry, bytes that are not UTF-8) raises SnapshotFormatError; a
+    repeated year, or a name that repeats or normalizes like an earlier one,
+    raises DuplicateEntryError (for the repeated line, its first year). Each
+    error names ``path:line``.
     """
-    with open(path, encoding="utf-8") as stream:
-        magic = stream.readline().strip()
-        if magic != SNAPSHOT_MAGIC:
-            raise SnapshotFormatError(
-                f"{path}: unsupported table snapshot (expected {SNAPSHOT_MAGIC!r}); "
-                "re-run `namecohort ingest` to rebuild it"
-            )
-        header = stream.readline().strip()
-        if header != SNAPSHOT_HEADER:
-            raise SnapshotFormatError(f"{path}: unexpected snapshot header {header!r}")
-        # Years and small counts repeat across names: decode each cell text once
-        # and share the resulting int objects.
-        number = functools.cache(int)
-        columns: dict[str, Columns] = {}
-        for lineno, line in enumerate(stream, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise SnapshotFormatError(f"{path}:{lineno}: malformed snapshot row")
-            try:
-                years, females, males = (tuple(map(number, cell.split()))
-                                         for cell in fields[1:])
-            except ValueError:
+    try:
+        with open(path, encoding="utf-8") as stream:
+            magic = stream.readline().strip()
+            if magic != SNAPSHOT_MAGIC:
                 raise SnapshotFormatError(
-                    f"{path}:{lineno}: non-integer snapshot cell") from None
-            name = normalize_name(fields[0])
-            _check_row(name, years, females, males, f"{path}:{lineno}")
-            if name in columns:
-                raise DuplicateEntryError(name, None, years[0], where=f"{path}:{lineno}")
-            columns[name] = (years, females, males)
+                    f"{path}: unsupported table snapshot (expected {SNAPSHOT_MAGIC!r}); "
+                    "re-run `namecohort ingest` to rebuild it"
+                )
+            header = stream.readline().strip()
+            if header != SNAPSHOT_HEADER:
+                raise SnapshotFormatError(f"{path}: unexpected snapshot header {header!r}")
+            # Years and small counts repeat across names: decode each cell text once
+            # and share the resulting int objects.
+            number = functools.cache(int)
+            columns: dict[str, Columns] = {}
+            for lineno, line in enumerate(stream, start=3):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != 4:
+                    raise SnapshotFormatError(f"{path}:{lineno}: malformed snapshot row")
+                try:
+                    years, females, males = (tuple(map(number, cell.split()))
+                                             for cell in fields[1:])
+                except ValueError:
+                    raise SnapshotFormatError(
+                        f"{path}:{lineno}: non-integer snapshot cell") from None
+                name = normalize_name(fields[0])
+                _check_row(name, years, females, males, f"{path}:{lineno}")
+                if name in columns:
+                    raise DuplicateEntryError(name, None, years[0], where=f"{path}:{lineno}")
+                columns[name] = (years, females, males)
+    except UnicodeDecodeError as exc:
+        raise SnapshotFormatError(
+            f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})") from None
     return NameYearTable._from_columns(columns)

@@ -204,12 +204,19 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
                       mean_gap=mean_gap, max_gap=max_gap)
 
 
-_POINT_COLUMNS = "bin,share_female,n_authors,n_identified,n_unidentified,estimator"
-_BIAS_COLUMNS = "bin,temporal_share,static_share,gap"
+_POINT_COLUMNS = ("bin", "share_female", "n_authors", "n_identified", "n_unidentified",
+                  "estimator")
+_BIAS_COLUMNS = ("bin", "temporal_share", "static_share", "gap")
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _field(row: TrendPoint | BiasPoint, column: str) -> object:
+    value = getattr(row, column)
+    return value.value if isinstance(value, Estimator) else value
+
+
+def _cell(value: object) -> str:
+    """A CSV cell: empty for None, else str (a float's str is its round-trip repr)."""
+    return "" if value is None else str(value)
 
 
 def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> bytes:
@@ -219,38 +226,18 @@ def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> byt
     summary statistics appear only in the JSON form).
     """
     if isinstance(obj, BiasReport):
-        rows = sorted(obj.points, key=lambda p: p.bin)
+        columns, points = _BIAS_COLUMNS, sorted(obj.points, key=lambda p: p.bin)
     else:
-        rows = sorted(obj, key=lambda p: str(p.bin))
+        columns, points = _POINT_COLUMNS, sorted(obj, key=lambda p: str(p.bin))
+    rows = [[_field(point, column) for column in columns] for point in points]
     if fmt == "csv":
-        if isinstance(obj, BiasReport):
-            lines = [_BIAS_COLUMNS] + [
-                f"{p.bin},{_fmt(p.temporal_share)},{_fmt(p.static_share)},{_fmt(p.gap)}"
-                for p in rows
-            ]
-        else:
-            lines = [_POINT_COLUMNS] + [
-                f"{p.bin},{_fmt(p.share_female)},{p.n_authors},{p.n_identified},"
-                f"{p.n_unidentified},{p.estimator.value}"
-                for p in rows
-            ]
+        lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
         return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
+        payload: object = [dict(zip(columns, row)) for row in rows]
         if isinstance(obj, BiasReport):
-            payload = {
-                "reference_year": obj.reference_year,
-                "mean_gap": obj.mean_gap,
-                "max_gap": obj.max_gap,
-                "bins": [{"bin": p.bin, "temporal_share": p.temporal_share,
-                          "static_share": p.static_share, "gap": p.gap}
-                         for p in rows],
-            }
-        else:
-            payload = [{"bin": p.bin, "share_female": p.share_female,
-                        "n_authors": p.n_authors, "n_identified": p.n_identified,
-                        "n_unidentified": p.n_unidentified,
-                        "estimator": p.estimator.value}
-                       for p in rows]
+            payload = {"reference_year": obj.reference_year, "mean_gap": obj.mean_gap,
+                       "max_gap": obj.max_gap, "bins": payload}
         return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")
 
@@ -259,10 +246,6 @@ def parse_series_json(data: bytes | str) -> list[TrendPoint]:
     """Parse a JSON series emitted by :func:`emit_series` back into points."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return [
-        TrendPoint(bin=item["bin"], share_female=item["share_female"],
-                   n_authors=item["n_authors"], n_identified=item["n_identified"],
-                   n_unidentified=item["n_unidentified"],
-                   estimator=Estimator(item["estimator"]))
-        for item in json.loads(data)
-    ]
+    return [TrendPoint(**{column: item[column] for column in _POINT_COLUMNS[:-1]},
+                       estimator=Estimator(item["estimator"]))
+            for item in json.loads(data)]

@@ -1,11 +1,13 @@
 import json
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import namecohort as nc
 from namecohort import shifts
-from namecohort.cli import main
+from namecohort.cli import build_parser, main
 
 FIXTURE_DIR = str(resources.files("namecohort") / "data" / "ssa_fixture")
 
@@ -350,3 +352,63 @@ def test_ingest_year_files_with_no_records(capsys, tmp_path):
                           "--out", str(tmp_path / "t.csv"))
     assert code == 1
     assert "contained no records" in stderr
+
+
+CORPUS_KEYS = {"subcommand", "table", "max_fallback", "shift", "format", "out",
+               "corpus", "corpus_format", "overrides", "strict"}
+# For each command: the argv after the command name, the manifest's options
+# keys, and the flags it must reject because no run of the command reads them.
+COMMAND_FLAGS = {
+    "ingest": ([FIXTURE_DIR], {"subcommand", "ssa_dir", "out"},
+               [["--table", "t.csv"], ["--format", "json"], ["--seed", "3"], ["--strict"]]),
+    "pf": (["Johnnie", "--year", "1960"],
+           {"subcommand", "name", "year", "pub_year", "table", "max_fallback", "shift",
+            "out"},
+           [["--format", "json"], ["--seed", "3"], ["--strict"]]),
+    "shifts": (["--from", "1925", "--to", "1975", "--top", "3"],
+               {"subcommand", "table", "max_fallback", "format", "out", "from_year",
+                "to_year", "name", "top", "weighted", "unstable", "net", "sample_years",
+                "range_threshold", "min_births"},
+               [["--seed", "3"], ["--strict"], ["--shift", "20"]]),
+    "sample": (["--population-size", "600"],
+               {"subcommand", "out", "seed", "population_size", "margin", "confidence",
+                "ids_file", "size"},
+               [["--table", "t.csv"], ["--format", "json"], ["--strict"]]),
+    "analyze": (["--corpus", "{corpus}"],
+                CORPUS_KEYS | {"estimator", "unknown_value", "display_encoding",
+                               "bin_width", "group_by_venue", "tau_female", "tau_male"},
+                [["--seed", "3"]]),
+    "bias-report": (["--corpus", "{corpus}", "--reference-year", "2000"],
+                    CORPUS_KEYS | {"reference_year"}, [["--seed", "3"]]),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_command_accepts_and_records_only_the_flags_it_reads(capsys, tmp_path, command):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A|George B\n")
+    args, keys, removed = COMMAND_FLAGS[command]
+    argv = [command, *(arg.format(corpus=corpus) for arg in args)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert set(manifest["options"]) == keys
+    assert manifest["seed"] is None
+    for flag in removed:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *flag])
+        assert excinfo.value.code == 2, flag
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("namecohort ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

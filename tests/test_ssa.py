@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import pytest
@@ -157,6 +158,22 @@ def test_load_directory_reports_file_and_line(tmp_path):
     assert excinfo.value.lineno == 2
 
 
+# Enough valid rows that the bad byte lies past the first chunk a text stream decodes.
+VALID_NAMES = ["".join(letters) for letters in itertools.product("abcdefghij", repeat=4)][:3000]
+
+
+def test_year_file_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
+    path = tmp_path / "yob1980.txt"
+    rows = "".join(f"{name},F,{i + 5}\n" for i, name in enumerate(VALID_NAMES))
+    path.write_bytes(rows.encode() + b"Ad\xff,F,4\nZed,M,5\n")
+    with pytest.raises(SsaFormatError, match=r"yob1980\.txt:3001: not UTF-8") as excinfo:
+        nc.load_directory(tmp_path)
+    assert excinfo.value.lineno == 3001
+    with open(path, encoding="utf-8") as stream:
+        with pytest.raises(SsaFormatError, match=r"yob1980\.txt:3001: not UTF-8"):
+            nc.parse_year_file(stream, 1980, str(path))
+
+
 def test_snapshot_round_trip(tmp_path, fixture_table):
     path = tmp_path / "table.csv"
     nc.write_snapshot(fixture_table, path)
@@ -258,4 +275,13 @@ def test_snapshot_rejects_corrupt_row_naming_its_line(tmp_path, line, error, fra
     path = tmp_path / "bad.csv"
     path.write_text(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\nada,1980,1,2\n{line}\n")
     with pytest.raises(error, match=rf"bad\.csv:4: .*{fragment}"):
+        nc.read_snapshot(path)
+
+
+def test_snapshot_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = "".join(f"{name},1980,1,2\n" for name in VALID_NAMES)
+    path.write_bytes(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\n{rows}".encode()
+                     + b"b\xffb,1980,0,7\nzed,1980,0,5\n")
+    with pytest.raises(SnapshotFormatError, match=r"bad\.csv:3003: not UTF-8"):
         nc.read_snapshot(path)
