@@ -235,8 +235,40 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+_MODE_OPTIONS = "_mode_options"
+
+
+class _ModeOption(argparse.Action):
+    """Store an option that only one mode of its command reads (store_true
+    when nargs=0), noting that it was given so the parser can check the mode."""
+
+    def __init__(self, option_strings, dest, mode: str, nargs=None, **kwargs):
+        self.mode = mode
+        super().__init__(option_strings, dest, nargs=nargs,
+                         const=True if nargs == 0 else None, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        vars(namespace).setdefault(_MODE_OPTIONS, []).append((self, parser))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Once every argument is parsed, refuse a mode option given outside its
+    mode, with the usage of the command that declares it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action, command in vars(namespace).pop(_MODE_OPTIONS, ()):
+            if getattr(namespace, action.mode.lstrip("-").replace("-", "_")) in (None, False):
+                command.error(f"{action.option_strings[0]} is read only with {action.mode}")
+        return namespace, extras
+
+
+_SHIFT_HELP = "years subtracted from a publication year to reach the birth cohort"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="namecohort",
         description="Year-aware name-gender estimation and longitudinal "
                     "author-trend analysis.",
@@ -259,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     shift_arg = argparse.ArgumentParser(add_help=False)
     shift_arg.add_argument("--shift", type=int, default=model.DEFAULT_YEAR_SHIFT,
-                           help="years subtracted from a publication year to reach "
-                                "the birth cohort")
+                           help=_SHIFT_HELP)
 
     format_arg = argparse.ArgumentParser(add_help=False)
     format_arg.add_argument("--format", choices=["csv", "json"], default="csv",
@@ -274,8 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ssa_dir", type=Path, help="directory of yobYYYY.txt files")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("pf", parents=[table_args, shift_arg, out_arg], formatter_class=fmt,
+    p = sub.add_parser("pf", parents=[table_args, out_arg], formatter_class=fmt,
                        help="look up the female probability of a name")
+    p.add_argument("--shift", action=_ModeOption, mode="--pub-year", type=int,
+                   default=model.DEFAULT_YEAR_SHIFT, help=_SHIFT_HELP)
     p.add_argument("name", help="first name to look up")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--year", type=int, help="birth year to query directly")
@@ -294,18 +327,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="name to analyze (repeatable)")
     p.add_argument("--top", type=int, default=None,
                    help="rank the k largest movers instead of naming them")
-    p.add_argument("--weighted", action="store_true",
+    p.add_argument("--weighted", action=_ModeOption, mode="--top", nargs=0, default=False,
                    help="rank by |delta| x births weight rather than |delta| alone")
     p.add_argument("--unstable", action="store_true",
                    help="analyze the names flagged unstable across the sample years")
     p.add_argument("--net", action="store_true",
                    help="print the weight-normalized net female shift instead of rows")
-    p.add_argument("--sample-years", type=_int_list,
+    p.add_argument("--sample-years", action=_ModeOption, mode="--unstable", type=_int_list,
                    default=shifts.DEFAULT_SAMPLE_YEARS,
                    help="comma-separated years for instability detection")
-    p.add_argument("--range-threshold", type=float, default=0.3,
+    p.add_argument("--range-threshold", action=_ModeOption, mode="--unstable", type=float,
+                   default=0.3,
                    help="minimum p(F) range across sample years to count as unstable")
-    p.add_argument("--min-births", type=int, default=500,
+    p.add_argument("--min-births", action=_ModeOption, mode="--unstable", type=int,
+                   default=500,
                    help="minimum total births across sample years to count as unstable")
     p.set_defaults(func=cmd_shifts)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterable, Sequence
 
 from .model import Gender
-from .names import extract_first_name, normalize_full_name
+from .names import extract_first_name, first_name_extractor, normalize_full_name
 
 __all__ = [
     "AuthorMention", "CorpusRecord", "CorpusParseResult", "CorpusFormatError",
@@ -100,7 +100,8 @@ class CorpusParseResult:
     problems: list[str] = field(default_factory=list)
 
 
-def _check_csv_row(row: list[str], lineno: int) -> CorpusRecord:
+def _check_csv_row(row: list[str], lineno: int,
+                   first_name: Callable[[str], str | None]) -> CorpusRecord:
     if len(row) != 4:
         raise CorpusFormatError(f"expected 4 columns, got {len(row)}", lineno)
     record_id, venue, raw_year, raw_authors = row
@@ -117,7 +118,7 @@ def _check_csv_row(row: list[str], lineno: int) -> CorpusRecord:
     if any(not a.strip() for a in authors):
         raise CorpusFormatError("empty author name in authors field", lineno)
     return CorpusRecord(record_id=record_id, venue=venue, publication_year=year,
-                        authors=tuple(make_mention(a) for a in authors))
+                        authors=tuple(AuthorMention(a, first_name(a)) for a in authors))
 
 
 def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True) -> CorpusParseResult:
@@ -125,18 +126,20 @@ def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True) -> Co
     pipe-separated author strings, order preserved.
 
     In strict mode the first bad row aborts with its line number; in lenient
-    mode bad rows are skipped and tallied in the result.
+    mode bad rows are skipped and tallied in the result. Each distinct
+    given-name token is normalized once per call.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or header != CSV_HEADER:
         raise CorpusFormatError(f"expected header {','.join(CSV_HEADER)!r}", 1)
     result = CorpusParseResult()
+    first_name = first_name_extractor()
     for row in reader:
         if not row:
             continue
         try:
-            result.records.append(_check_csv_row(row, reader.line_num))
+            result.records.append(_check_csv_row(row, reader.line_num, first_name))
         except CorpusFormatError as exc:
             if strict:
                 raise
@@ -178,6 +181,7 @@ class _DblpHandler:
         self.result = result
         self._strict = strict
         self._offset = offset  # byte offset of the event being handled
+        self._first_name = first_name_extractor()
         self._start = 0  # byte offset of the current publication's start tag
         self._current: dict | None = None
         self._depth = 0
@@ -246,7 +250,7 @@ class _DblpHandler:
             return
         self.result.records.append(CorpusRecord(
             record_id=key, venue=pub["venue"], publication_year=year,
-            authors=tuple(make_mention(a) for a in authors),
+            authors=tuple(AuthorMention(a, self._first_name(a)) for a in authors),
         ))
 
     def _skip(self, problem: str) -> None:
@@ -261,13 +265,14 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
     attribute, repeated author children, a year, and an optional venue
     (booktitle or journal). Everything else is ignored.
 
-    Memory stays bounded by a single publication element regardless of file
-    size. Publications missing a key, a usable year, or any author are
-    skipped and tallied; in strict mode the first of them raises
-    DblpParseError with the byte offset of its start tag. Malformed XML
-    (including entities beyond the XML built-ins) raises DblpParseError
-    with the byte offset. The input may be a whole document or a root-less
-    fragment stream.
+    Besides the records returned, memory holds a single publication element
+    and one memo entry per distinct given-name token (each is normalized
+    once per call), regardless of file size. Publications missing a key, a
+    usable year, or any author are skipped and tallied; in strict mode the
+    first of them raises DblpParseError with the byte offset of its start
+    tag. Malformed XML (including entities beyond the XML built-ins) raises
+    DblpParseError with the byte offset. The input may be a whole document
+    or a root-less fragment stream.
     """
     result = CorpusParseResult()
     parser = xml.parsers.expat.ParserCreate()

@@ -13,7 +13,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
-from .ssa import NameYearTable
+from .ssa import Columns, NameYearTable
 
 DEFAULT_YEAR_SHIFT = 30
 DEFAULT_MAX_FALLBACK = 10
@@ -99,7 +99,13 @@ def p_female(table: NameYearTable, name: str, year: int,
     toward the earlier year) and the distance is recorded. When no year
     qualifies the estimate is Unknown.
     """
-    years, females, males = table.columns(name)
+    return lookup(table.columns(name), year, max_fallback_distance)
+
+
+def lookup(columns: Columns, year: int, max_fallback_distance: int) -> GenderEstimate:
+    """:func:`p_female` over one name's columns, which the caller has already
+    fetched (so the name is not normalized again)."""
+    years, females, males = columns
     i = bisect_left(years, year)
     if i < len(years) and years[i] == year:
         female, male = females[i], males[i]
@@ -126,15 +132,21 @@ def shifted_lookup(table: NameYearTable, name: str, publication_year: int,
     year; the clamp distance is folded into fallback_distance so provenance
     stays visible.
     """
+    return cohort_lookup(table, table.columns(name), publication_year, config)
+
+
+def cohort_lookup(table: NameYearTable, columns: Columns, publication_year: int,
+                  config: ModelConfig) -> GenderEstimate:
+    """:func:`shifted_lookup` over one name's columns already fetched from table."""
     target = publication_year - config.year_shift
     clamp = 0
     if table.year_range is not None and target < table.year_range[0]:
         clamp = table.year_range[0] - target
         target = table.year_range[0]
-    estimate = p_female(table, name, target, config.max_fallback_distance)
-    if clamp and estimate.known:
-        estimate = replace(estimate, fallback_distance=estimate.fallback_distance + clamp)
-    return estimate
+    result = lookup(columns, target, config.max_fallback_distance)
+    if clamp and result.known:
+        result = replace(result, fallback_distance=result.fallback_distance + clamp)
+    return result
 
 
 def classify(estimate: GenderEstimate | float | None,

@@ -8,8 +8,10 @@ mutated by callers; normalization happens at comparison time.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
+from typing import Callable
 
 # Letters that do not decompose under NFKD; mapped to their conventional
 # basic-letter transliterations.
@@ -63,6 +65,25 @@ def _drop_honorifics(tokens: list[str]) -> list[str]:
     return tokens
 
 
+def _given_token(raw: str) -> str | None:
+    """The raw given-name token: the first token after any "Surname, Given"
+    flip and honorific stripping, or None when nothing survives."""
+    if "," in raw:
+        raw = _flip_comma_form(raw)
+    for token in raw.split():
+        if token.rstrip(".").lower() not in _HONORIFICS:
+            return token
+    return None
+
+
+def _first_name(token: str) -> str | None:
+    """The normalized first name of a given-name token; None when initial-only."""
+    first = normalize_name(token)
+    if not first or _INITIAL_RE.match(first):
+        return None
+    return first.strip(".,;:") or None
+
+
 def extract_first_name(raw: str) -> str | None:
     """Extract the normalized given name from a raw author string.
 
@@ -71,18 +92,20 @@ def extract_first_name(raw: str) -> str | None:
     honorific stripping. "Surname, Given" order is detected via the comma
     and flipped; hyphenated given names are kept whole.
     """
-    text = raw.strip()
-    if not text:
-        return None
-    if "," in text:
-        text = _flip_comma_form(text)
-    tokens = _drop_honorifics(text.split())
-    if not tokens:
-        return None
-    first = normalize_name(tokens[0])
-    if not first or _INITIAL_RE.match(first):
-        return None
-    return first.strip(".,;:") or None
+    token = _given_token(raw)
+    return None if token is None else _first_name(token)
+
+
+def first_name_extractor() -> Callable[[str], str | None]:
+    """:func:`extract_first_name` for one parse: it normalizes each distinct
+    given-name token once, however many author strings carry it."""
+    first_name = functools.cache(_first_name)
+
+    def extract(raw: str) -> str | None:
+        token = _given_token(raw)
+        return None if token is None else first_name(token)
+
+    return extract
 
 
 def normalize_full_name(raw: str) -> str:

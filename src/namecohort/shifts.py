@@ -9,10 +9,11 @@ aggregate a birth-weighted net shift for a set of names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .model import DEFAULT_MAX_FALLBACK, p_female
+from .model import DEFAULT_MAX_FALLBACK, GenderEstimate, lookup, p_female
 from .names import normalize_name
-from .ssa import NameYearTable
+from .ssa import Columns, NameYearTable
 
 DEFAULT_SAMPLE_YEARS = (1900, 1925, 1950, 1975, 2000)
 
@@ -63,16 +64,24 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     endpoints, which avoids favoring either endpoint when ranking by size.
     Raises EndpointMissingError naming the year that had no data.
     """
+    return _shift(name, normalize_name(name),
+                  lambda year: p_female(table, name, year, max_fallback_distance), y1, y2)
+
+
+def _shift(name: str, key: str, lookup_at: Callable[[int], GenderEstimate],
+           y1: int, y2: int) -> ShiftRecord:
+    """:func:`gender_shift` of the name whose normalized key is given, with
+    lookup_at(year) as its p(F) at a year."""
     if y1 >= y2:
         raise ValueError("require y1 < y2")
-    start = p_female(table, name, y1, max_fallback_distance)
+    start = lookup_at(y1)
     if not start.known:
         raise EndpointMissingError(name, y1)
-    end = p_female(table, name, y2, max_fallback_distance)
+    end = lookup_at(y2)
     if not end.known:
         raise EndpointMissingError(name, y2)
     return ShiftRecord(
-        name=normalize_name(name),
+        name=key,
         p_start=start.p_female,
         p_end=end.p_female,
         delta=end.p_female - start.p_female,
@@ -80,13 +89,14 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     )
 
 
-def _sample_profile(table: NameYearTable, name: str, config: InstabilityConfig,
+def _sample_profile(columns: Columns, config: InstabilityConfig,
                     max_fallback_distance: int) -> tuple[list[float], int]:
-    """Known p(F) values at the sample years, plus total births used."""
+    """Known p(F) values of one name's columns at the sample years, plus total
+    births used."""
     ps = []
     births = 0
     for year in config.sample_years:
-        estimate = p_female(table, name, year, max_fallback_distance)
+        estimate = lookup(columns, year, max_fallback_distance)
         if estimate.known:
             ps.append(estimate.p_female)
             births += estimate.total
@@ -104,7 +114,7 @@ def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityC
     """
     qualifying = []
     for name in table.names():
-        ps, births = _sample_profile(table, name, config, max_fallback_distance)
+        ps, births = _sample_profile(table.key_columns(name), config, max_fallback_distance)
         if len(ps) < 2 or births < config.min_total_births:
             continue
         p_range = max(ps) - min(ps)
@@ -127,8 +137,11 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
         raise ValueError("k must be >= 1")
     records = []
     for name in table.names():
+        columns = table.key_columns(name)
         try:
-            records.append(gender_shift(table, name, y1, y2, max_fallback_distance))
+            records.append(_shift(name, name,
+                                  lambda year: lookup(columns, year, max_fallback_distance),
+                                  y1, y2))
         except EndpointMissingError:
             continue
     if weighted:

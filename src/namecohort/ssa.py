@@ -135,7 +135,12 @@ class NameYearTable:
 
     def columns(self, name: str) -> Columns:
         """(years, female_counts, male_counts) for the name; empty tuples when absent."""
-        return self._columns.get(normalize_name(name), _NO_COLUMNS)
+        return self.key_columns(normalize_name(name))
+
+    def key_columns(self, key: str) -> Columns:
+        """:meth:`columns` for a key that is already normalized, such as one of
+        :meth:`names`; the key is not normalized again."""
+        return self._columns.get(key, _NO_COLUMNS)
 
     def counts(self, name: str, year: int) -> tuple[int, int] | None:
         """Exact-year (female, male) counts, or None when absent."""

@@ -12,16 +12,19 @@ one reference year, which is how present-day name tables misread history.
 
 from __future__ import annotations
 
+import csv
 import enum
+import functools
+import io
 import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .corpus import AuthorMention, CorpusRecord
+from .corpus import CorpusRecord
 from .model import (Gender, GenderEstimate, ModelConfig, Thresholds, classify,
-                    p_female, shifted_lookup)
-from .ssa import NameYearTable
+                    cohort_lookup, lookup)
+from .ssa import Columns, NameYearTable
 
 __all__ = [
     "BiasPoint", "BiasReport", "DisplayEncoding", "Estimator", "EstimatorConfig",
@@ -96,18 +99,17 @@ class BiasReport:
     max_gap: float  # gap of largest magnitude, sign preserved
 
 
-def _value(mention: AuthorMention, estimate: GenderEstimate | None,
+def _value(gender: Gender | None, estimate: GenderEstimate | None,
            config: EstimatorConfig, thresholds: Thresholds) -> float | None:
     """A mention's contribution to its bin's share, or None when unidentified.
 
-    Overrides outrank the estimate. The plain weighted mean contributes
-    p(F) itself; the display encoding and the classified share contribute
-    the value of the mention's class (the classified share ignores any
-    display encoding).
+    gender is the mention's override, which outranks the estimate. The
+    plain weighted mean contributes p(F) itself; the display encoding and
+    the classified share contribute the value of the mention's class (the
+    classified share ignores any display encoding).
     """
     weighted = config.estimator is Estimator.WEIGHTED_MEAN
     encoding = config.display_encoding if weighted else None
-    gender = mention.override_gender
     if gender is None:
         if estimate is None:
             return None
@@ -122,40 +124,62 @@ def _value(mention: AuthorMention, estimate: GenderEstimate | None,
 
 
 def _shares(records: Sequence[CorpusRecord],
-            resolve: Callable[[str, int], GenderEstimate], config: EstimatorConfig,
-            thresholds: Thresholds) -> list[tuple[int | str, float | None, int, int]]:
-    """(bin label, share, n_authors, n_identified) for each non-empty bin, in order.
+            resolvers: Sequence[Callable[[str, int], GenderEstimate]],
+            config: EstimatorConfig, thresholds: Thresholds
+            ) -> list[list[tuple[int | str, float | None, int, int]]]:
+    """For each resolver, (bin label, share, n_authors, n_identified) for each
+    non-empty bin, in order, from one pass over the mentions.
 
-    resolve maps (first_name, publication_year) to an estimate. The weighted
-    mean fills unidentified mentions with unknown_value (the display
-    encoding with its own unknown value) and divides by n_authors; the
-    classified share drops them and divides by n_identified. fsum is exact,
-    so the order of the fill values cannot change a share.
+    A resolver maps (first_name, publication_year) to an estimate. Each
+    distinct pair is resolved and valued once per call; overridden and
+    initial-only mentions take the value of their override (or none), since
+    an override outranks any estimate. The weighted mean fills unidentified
+    mentions with unknown_value (the display encoding with its own unknown
+    value) and divides by n_authors; the classified share drops them and
+    divides by n_identified. fsum is exact, so the order of the fill values
+    cannot change a share.
     """
-    bins: dict[tuple[str, int], list[float | None]] = {}
+    unresolved = {gender: (_value(gender, None, config, thresholds),) * len(resolvers)
+                  for gender in (None, *Gender)}
+    memo: dict[tuple[str, int], tuple[float | None, ...]] = {}
+    bins: dict[tuple[str, int], list[tuple[float | None, ...]]] = {}
     for record in records:
         year = record.publication_year
         start = (year // config.bin_width) * config.bin_width
-        values = bins.setdefault((record.venue if config.group_by_venue else "", start), [])
+        rows = bins.setdefault((record.venue if config.group_by_venue else "", start), [])
         for mention in record.authors:
-            estimate = None if mention.first_name is None else resolve(mention.first_name, year)
-            values.append(_value(mention, estimate, config, thresholds))
+            name = mention.first_name
+            if name is None or mention.override_gender is not None:
+                rows.append(unresolved[mention.override_gender])
+                continue
+            values = memo.get((name, year))
+            if values is None:
+                values = memo[name, year] = tuple(
+                    _value(None, resolve(name, year), config, thresholds) for resolve in resolvers)
+            rows.append(values)
 
     encoding = config.display_encoding
     fill = (None if config.estimator is Estimator.CLASSIFIED_SHARE
             else config.unknown_value if encoding is None else encoding.unknown)
-    shares = []
+    series: list[list[tuple[int | str, float | None, int, int]]] = [[] for _ in resolvers]
     for venue, start in sorted(bins):
-        values = bins[(venue, start)]
-        known = [v for v in values if v is not None]
-        n_authors, identified = len(values), len(known)
-        if fill is not None:
-            share = math.fsum(known + [fill] * (n_authors - identified)) / n_authors
-        else:
-            share = math.fsum(known) / identified if identified else None
         label = f"{venue}:{start}" if config.group_by_venue else start
-        shares.append((label, share, n_authors, identified))
-    return shares
+        rows = bins[(venue, start)]
+        for i, shares in enumerate(series):
+            known = [row[i] for row in rows if row[i] is not None]
+            n_authors, identified = len(rows), len(known)
+            if fill is not None:
+                share = math.fsum(known + [fill] * (n_authors - identified)) / n_authors
+            else:
+                share = math.fsum(known) / identified if identified else None
+            shares.append((label, share, n_authors, identified))
+    return series
+
+
+def _cohort(table: NameYearTable, columns: Callable[[str], Columns],
+            model_config: ModelConfig) -> Callable[[str, int], GenderEstimate]:
+    """:func:`shifted_lookup` over a per-call memo of each first name's columns."""
+    return lambda name, year: cohort_lookup(table, columns(name), year, model_config)
 
 
 def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
@@ -166,10 +190,11 @@ def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
 
     Records should already carry any qualitative overrides; an override
     outranks the table estimate for its mention. Bins with no records are
-    omitted, never zero-filled.
+    omitted, never zero-filled. Each distinct (first name, publication
+    year) is looked up once.
     """
-    shares = _shares(records, lambda name, year: shifted_lookup(table, name, year, model_config),
-                     config, thresholds)
+    [shares] = _shares(records, [_cohort(table, functools.cache(table.columns), model_config)],
+                       config, thresholds)
     return [TrendPoint(bin=label, share_female=share, n_authors=n_authors,
                        n_identified=identified, n_unidentified=n_authors - identified,
                        estimator=config.estimator)
@@ -185,18 +210,20 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
     static arm pins every lookup to reference_year, mimicking software
     built from present-day tables. Both arms use the weighted-mean
     convention with unknown = 0.5, and overrides apply identically, so any
-    gap comes purely from the lookup year.
+    gap comes purely from the lookup year. One pass over the mentions
+    serves both arms: the temporal arm looks up each distinct (first name,
+    publication year) once, the static arm each distinct first name once.
     """
-    config, thresholds = EstimatorConfig(), Thresholds()
-    temporal = _shares(records,
-                       lambda name, year: shifted_lookup(table, name, year, model_config),
-                       config, thresholds)
-    static = _shares(records, lambda name, _: p_female(table, name, reference_year,
-                                                        model_config.max_fallback_distance),
-                     config, thresholds)
+    columns = functools.cache(table.columns)
+    static = functools.cache(lambda name: lookup(columns(name), reference_year,
+                                                 model_config.max_fallback_distance))
+    temporal_shares, static_shares = _shares(
+        records, [_cohort(table, columns, model_config), lambda name, _: static(name)],
+        EstimatorConfig(), Thresholds())
     points = tuple(BiasPoint(bin=year, temporal_share=t_share, static_share=s_share,
                              gap=s_share - t_share)
-                   for (year, t_share, _, _), (_, s_share, _, _) in zip(temporal, static))
+                   for (year, t_share, _, _), (_, s_share, _, _)
+                   in zip(temporal_shares, static_shares))
     gaps = [p.gap for p in points]
     mean_gap = math.fsum(gaps) / len(gaps) if gaps else 0.0
     max_gap = max(gaps, key=abs) if gaps else 0.0
@@ -214,16 +241,13 @@ def _field(row: TrendPoint | BiasPoint, column: str) -> object:
     return value.value if isinstance(value, Estimator) else value
 
 
-def _cell(value: object) -> str:
-    """A CSV cell: empty for None, else str (a float's str is its round-trip repr)."""
-    return "" if value is None else str(value)
-
-
 def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> bytes:
     """Serialize a trend series or bias report deterministically.
 
     Rows are sorted by bin label; CSV carries one row per bin (bias-report
-    summary statistics appear only in the JSON form).
+    summary statistics appear only in the JSON form). A CSV cell is empty
+    for None and holds a float's round-trip repr; only a cell that holds a
+    comma, a double quote or a newline is quoted.
     """
     if isinstance(obj, BiasReport):
         columns, points = _BIAS_COLUMNS, sorted(obj.points, key=lambda p: p.bin)
@@ -231,8 +255,11 @@ def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> byt
         columns, points = _POINT_COLUMNS, sorted(obj, key=lambda p: str(p.bin))
     rows = [[_field(point, column) for column in columns] for point in points]
     if fmt == "csv":
-        lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buffer.getvalue().encode("utf-8")
     if fmt == "json":
         payload: object = [dict(zip(columns, row)) for row in rows]
         if isinstance(obj, BiasReport):

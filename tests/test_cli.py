@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shlex
 from importlib import resources
@@ -237,6 +239,21 @@ class TestAnalyze:
         assert code == 0
         assert stdout.splitlines()[1].split(",")[1] == "0.5"
 
+    def test_venue_with_comma_is_one_quoted_cell(self, capsys, tmp_path):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text('record_id,venue,year,authors\n'
+                          'a1,"Proc. A, Vol 1",1990,Mary A|George B\n'
+                          'a2,"The ""Best"" Conf",1990,Mary C\n'
+                          'a3,Plain,1990,Mary D\n')
+        code, stdout, _ = run(capsys, "analyze", "--corpus", str(corpus),
+                              "--group-by-venue")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert all(len(row) == len(rows[0]) == 6 for row in rows)
+        assert [row[0] for row in rows[1:]] == [
+            "Plain:1990", "Proc. A, Vol 1:1990", 'The "Best" Conf:1990']
+        assert stdout.splitlines()[1].startswith("Plain:1990,")
+
     def test_strict_mode_aborts_lenient_tallies(self, capsys, tmp_path):
         corpus = tmp_path / "c.csv"
         corpus.write_text("record_id,venue,year,authors\n"
@@ -399,6 +416,46 @@ def test_command_accepts_and_records_only_the_flags_it_reads(capsys, tmp_path, c
             main([*argv, *flag])
         assert excinfo.value.code == 2, flag
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+SHIFTS = ["shifts", "--from", "1925", "--to", "1975"]
+# Flags that only one mode of their command reads: a command line in a mode
+# that does not read the flag, the flag with a value and (where it takes
+# one) at its default, the mode that reads it, and a command line in that mode.
+MODE_FLAGS = {
+    "shift": (["pf", "Johnnie", "--year", "1960"], [["--shift", "5"], ["--shift", "30"]],
+              "--pub-year", ["pf", "Johnnie", "--pub-year", "1990"]),
+    "weighted": ([*SHIFTS, "--name", "Leslie"], [["--weighted"]], "--top",
+                 [*SHIFTS, "--top", "3"]),
+    "sample-years": ([*SHIFTS, "--name", "Leslie"],
+                     [["--sample-years", "1930,1955"],
+                      ["--sample-years", "1900,1925,1950,1975,2000"]],
+                     "--unstable", [*SHIFTS, "--unstable"]),
+    "range-threshold": ([*SHIFTS, "--top", "3"],
+                        [["--range-threshold", "0.5"], ["--range-threshold", "0.3"]],
+                        "--unstable", [*SHIFTS, "--unstable"]),
+    "min-births": ([*SHIFTS, "--name", "Leslie"], [["--min-births", "9"], ["--min-births", "500"]],
+                   "--unstable", [*SHIFTS, "--unstable"]),
+}
+
+
+@pytest.mark.parametrize("flag", MODE_FLAGS)
+def test_mode_specific_flag_is_rejected_outside_its_mode(capsys, tmp_path, flag):
+    argv, variants, mode, in_mode = MODE_FLAGS[flag]
+    out = tmp_path / "out"
+    for given in variants:
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *given, "--out", str(out)])
+        assert excinfo.value.code == 2, given
+        assert f"{given[0]} is read only with {mode}" in capsys.readouterr().err
+        assert not out.exists()
+    # the mode that reads the flag accepts it and records its value
+    recorded = []
+    for extra in ([], variants[0]):
+        assert main([*in_mode, *extra, "--out", str(out)]) == 0
+        options = json.loads(Path(f"{out}.manifest.json").read_text())["options"]
+        recorded.append(options[flag.replace("-", "_")])
+    assert recorded[0] != recorded[1]
 
 
 def test_readme_cli_examples_parse():

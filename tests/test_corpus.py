@@ -1,5 +1,8 @@
+import csv
 import io
 import logging
+import random
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -44,6 +47,52 @@ class TestExtractFirstName:
             first = nc.extract_first_name(raw)
             if first is not None:
                 assert nc.extract_first_name(first) == first
+
+
+GIVEN = ["José", "JOSÉ", "jose", "Jose,", "Ørjan", "Łukasz", "Zoë", "Þóra", "Jean-Luc",
+         "Anne-Marie", "anne-marie", "J.", "J", "R.C.", "B", "Ada", "ada", "Günther",
+         "Françoise", "Mary;", "Ærø"]
+HONORIFICS = ["", "", "Dr. ", "Prof ", "Mrs. ", "Mr ", "Dr. Prof. ", "MISS "]
+SURNAMES = ["Smith", "de la Cruz", "O'Brien", "Núñez", "Liskov", "Smith-Jones"]
+
+
+def random_author(rng):
+    """An author string in one of the printed forms: honorifics, "Surname,
+    Given" with or without a suffix, middle names, or an honorific alone."""
+    given, surname = rng.choice(GIVEN), rng.choice(SURNAMES)
+    honorific = rng.choice(HONORIFICS)
+    return rng.choice([
+        f"{honorific}{given} {surname}",
+        f"{honorific}{given} {rng.choice(GIVEN)} {surname}",
+        f"{surname}, {given}",
+        f"{surname}, {honorific}{given}",
+        f"{surname}, {given}, Jr.",
+        f"{surname},",
+        honorific.strip() or given,
+    ])
+
+
+def test_parsers_extract_each_first_name_like_extract_first_name():
+    rng = random.Random(5)
+    for _ in range(20):
+        records = [[random_author(rng) for _ in range(rng.randint(1, 4))]
+                   for _ in range(rng.randint(1, 40))]
+        raws = [raw for authors in records for raw in authors]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["record_id", "venue", "year", "authors"])
+        writer.writerows([f"r{i}", "V", 1990, "|".join(authors)]
+                         for i, authors in enumerate(records))
+        xml = "".join(f'<article key="r{i}">'
+                      + "".join(f"<author>{escape(raw)}</author>" for raw in authors)
+                      + "<year>1990</year></article>"
+                      for i, authors in enumerate(records))
+        for result in (nc.parse_corpus_csv(io.StringIO(buffer.getvalue())),
+                       nc.parse_dblp_subset(io.BytesIO(xml.encode("utf-8")))):
+            mentions = [m for record in result.records for m in record.authors]
+            assert [m.raw for m in mentions] == raws
+            assert [m.first_name for m in mentions] == \
+                [nc.extract_first_name(raw) for raw in raws]
 
 
 class TestCorpusCsv:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 from dataclasses import replace
@@ -6,6 +8,7 @@ import pytest
 
 import namecohort as nc
 from namecohort.corpus import AuthorMention, make_mention
+from namecohort import model
 from namecohort.model import Gender
 from namecohort.trend import Estimator
 
@@ -208,6 +211,23 @@ class TestEmitSeries:
         assert len(payload["bins"]) == 10
         assert payload["mean_gap"] == pytest.approx(0.42)
 
+    def test_csv_quotes_only_the_cells_that_need_it(self, fixture_table):
+        venues = ["Plain", "Proc. A, Vol 1", 'The "Best" Conf', "Two\nLines"]
+        records = [rec(1990, "Mary A", venue=venue, rid=venue) for venue in venues]
+        points = nc.annual_share(records, fixture_table,
+                                 config=nc.EstimatorConfig(group_by_venue=True))
+        data = nc.emit_series(points, "csv").decode()
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["bin", "share_female", "n_authors", "n_identified",
+                         "n_unidentified", "estimator"])
+        for p in sorted(points, key=lambda p: p.bin):
+            writer.writerow([p.bin, repr(p.share_female), 1, 1, 0, "weighted-mean"])
+        assert data == buffer.getvalue()
+        assert f"\nPlain:1990,{points[0].share_female!r},1,1,0,weighted-mean\n" in data
+        rows = list(csv.reader(io.StringIO(data)))
+        assert [row[0] for row in rows[1:]] == sorted(f"{v}:1990" for v in venues)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             nc.emit_series([], "yaml")
@@ -237,16 +257,53 @@ def test_emit_series_sorts_rows_by_bin(fixture_table):
     assert [line.split(",")[0] for line in lines[1:]] == ["1950", "1990"]
 
 
-def random_plain_corpus(rng):
-    """A corpus as the oracles' plain tuples: pool names present in the
-    table or absent from it, initial-only mentions, and F/M/U overrides."""
+def test_each_distinct_key_is_looked_up_once(fixture_table, monkeypatch):
+    # Every table lookup bisects one name's years once: count the bisects.
+    years = []
+    bisect = model.bisect_left
+    monkeypatch.setattr(model, "bisect_left",
+                        lambda column, year: years.append(year) or bisect(column, year))
+    records = [rec(1990, "Mary A", "Mary B", ("Mary C", Gender.FEMALE), "J. Q.",
+                   "Zzyzx D", rid="a"),
+               rec(1990, "Mary E", "George F", ("Leslie G", Gender.MALE), rid="b"),
+               rec(1991, "Mary H", "Leslie I", ("George J", Gender.UNIDENTIFIED), rid="c"),
+               rec(1955, "Madison K", "Zzyzx L", "R.C. Archibald", rid="d")]
+    plain = {(m.first_name, r.publication_year) for r in records for m in r.authors
+             if m.first_name is not None and m.override_gender is None}
+    assert len(plain) == 7
+    for config in (nc.EstimatorConfig(),
+                   nc.EstimatorConfig(estimator=Estimator.CLASSIFIED_SHARE)):
+        years.clear()
+        nc.annual_share(records, fixture_table, config=config)
+        assert sorted(years) == sorted(year - 30 for _, year in plain)
+    years.clear()
+    nc.present_bias_report(records, fixture_table, reference_year=2000)
+    static = {name for name, _ in plain}
+    assert sorted(years) == sorted([year - 30 for _, year in plain] + [2000] * len(static))
+
+
+def random_plain_corpus(rng, counts):
+    """A corpus as the oracles' plain tuples: names in the table or absent
+    from it, initial-only mentions, and F/M/U overrides.
+
+    A few names and a six-year window of publication years make (name,
+    year) keys repeat within and across records, and the last record holds
+    one key both overridden and plain.
+    """
+    in_table = sorted({name for name, _ in counts})
+    names = rng.sample(in_table, min(len(in_table), rng.randint(1, 4))) + \
+        rng.sample(NAME_POOL, 2)
+    first_year = rng.randint(1900, 2040)
     corpus = []
     for _ in range(rng.randint(1, 20)):
-        mentions = [(rng.choice(NAME_POOL + [None]),
+        mentions = [(rng.choice(names + [None]),
                      rng.choice([None, None, None, "F", "M", "U"]))
                     for _ in range(rng.randint(1, 5))]
-        corpus.append((rng.choice(["VA", "VB", "VC"]), rng.randint(1900, 2045),
-                       mentions))
+        corpus.append((rng.choice(["VA", "VB", "VC"]),
+                       rng.randint(first_year, first_year + 5), mentions))
+    name = rng.choice(names)
+    corpus.append((rng.choice(["VA", "VB", "VC"]), rng.randint(first_year, first_year + 5),
+                   [(name, rng.choice("FMU")), (name, None)]))
     return corpus
 
 
@@ -263,8 +320,10 @@ def test_trend_matches_brute_force_oracles_exactly():
     rng = random.Random(2024)
     for _ in range(100):
         counts = random_counts(rng, max_names=20)
-        table = nc.NameYearTable(counts)
-        plain = random_plain_corpus(rng)
+        # The same names with other counts: a lookup memo that outlived its
+        # call would answer the second table from the first.
+        swapped = {key: (male, female) for key, (female, male) in counts.items()}
+        plain = random_plain_corpus(rng, counts)
         records = library_corpus(plain)
         model_config = nc.ModelConfig(year_shift=rng.choice([0, 30, 45]),
                                       max_fallback_distance=rng.choice([0, 3, 10]))
@@ -273,31 +332,36 @@ def test_trend_matches_brute_force_oracles_exactly():
         tau_female, tau_male = rng.choice([(0.8, 0.2), (0.6, 0.4), (0.95, 0.05)])
         thresholds = nc.Thresholds(tau_female=tau_female, tau_male=tau_male)
         encoding = rng.choice([nc.DisplayEncoding(), nc.DisplayEncoding(0.9, 0.1, 0.4)])
-        for estimator, unknown_value, display in [
-                (Estimator.WEIGHTED_MEAN, 0.5, None),
-                (Estimator.WEIGHTED_MEAN, rng.random(), None),
-                (Estimator.WEIGHTED_MEAN, 0.5, encoding),
-                (Estimator.CLASSIFIED_SHARE, 0.5, None),
-                (Estimator.CLASSIFIED_SHARE, 0.5, encoding)]:
-            config = nc.EstimatorConfig(estimator=estimator, unknown_value=unknown_value,
-                                        display_encoding=display,
-                                        bin_width=rng.choice([1, 1, 5, 7]),
-                                        group_by_venue=rng.random() < 0.5)
-            points = nc.annual_share(records, table, model_config, thresholds, config)
-            want = oracle_annual_share(
-                counts, plain, estimator=estimator.value, unknown_value=unknown_value,
-                encoding=(display.female, display.male, display.unknown) if display else None,
-                bin_width=config.bin_width, group_by_venue=config.group_by_venue,
-                tau_female=tau_female, tau_male=tau_male, **model_kwargs)
-            assert [(p.bin, p.share_female, p.n_authors, p.n_identified,
-                     p.n_unidentified) for p in points] == want
-            assert all(p.estimator is estimator for p in points)
         reference_year = rng.randint(1890, 2010)
-        report = nc.present_bias_report(records, table, model_config,
-                                        reference_year=reference_year)
-        want_points, want_mean, want_max = oracle_bias_report(
-            counts, plain, reference_year, **model_kwargs)
-        assert [(p.bin, p.temporal_share, p.static_share, p.gap)
-                for p in report.points] == want_points
-        assert (report.reference_year, report.mean_gap, report.max_gap) == \
-            (reference_year, want_mean, want_max)
+        settings = [(estimator, unknown_value, display, rng.choice([1, 1, 5, 7]),
+                     rng.random() < 0.5)
+                    for estimator, unknown_value, display in [
+                        (Estimator.WEIGHTED_MEAN, 0.5, None),
+                        (Estimator.WEIGHTED_MEAN, rng.random(), None),
+                        (Estimator.WEIGHTED_MEAN, 0.5, encoding),
+                        (Estimator.CLASSIFIED_SHARE, 0.5, None),
+                        (Estimator.CLASSIFIED_SHARE, 0.5, encoding)]]
+        for table_counts in (counts, swapped):
+            table = nc.NameYearTable(table_counts)
+            for estimator, unknown_value, display, bin_width, group_by_venue in settings:
+                config = nc.EstimatorConfig(estimator=estimator, unknown_value=unknown_value,
+                                            display_encoding=display, bin_width=bin_width,
+                                            group_by_venue=group_by_venue)
+                points = nc.annual_share(records, table, model_config, thresholds, config)
+                want = oracle_annual_share(
+                    table_counts, plain, estimator=estimator.value,
+                    unknown_value=unknown_value,
+                    encoding=(display.female, display.male, display.unknown) if display
+                    else None, bin_width=bin_width, group_by_venue=group_by_venue,
+                    tau_female=tau_female, tau_male=tau_male, **model_kwargs)
+                assert [(p.bin, p.share_female, p.n_authors, p.n_identified,
+                         p.n_unidentified) for p in points] == want
+                assert all(p.estimator is estimator for p in points)
+            report = nc.present_bias_report(records, table, model_config,
+                                            reference_year=reference_year)
+            want_points, want_mean, want_max = oracle_bias_report(
+                table_counts, plain, reference_year, **model_kwargs)
+            assert [(p.bin, p.temporal_share, p.static_share, p.gap)
+                    for p in report.points] == want_points
+            assert (report.reference_year, report.mean_gap, report.max_gap) == \
+                (reference_year, want_mean, want_max)
