@@ -15,11 +15,21 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
-from . import __version__, corpus, model, sampling, shifts, ssa, trend
+from . import __version__, model, shifts, ssa
 from .names import normalize_name
 
+if TYPE_CHECKING:
+    from . import corpus
+
+# corpus, trend and sampling are imported by the commands that use them, so
+# that ingest, pf and shifts never load them.
+
 TABLE_FORMAT = ssa.SNAPSHOT_MAGIC.lstrip("# ")
+# The values of trend.Estimator, spelled out so that building the parser
+# does not import trend.
+ESTIMATORS = ("weighted-mean", "classified-share")
 
 
 def _sha256(path: Path) -> str:
@@ -46,10 +56,13 @@ def _write_manifest(out: Path, manifest: dict) -> None:
                        encoding="utf-8")
 
 
-def _write_output(args: argparse.Namespace, data: bytes, manifest: dict) -> None:
+def _write_output(args: argparse.Namespace, data: bytes,
+                  manifest: Callable[[], dict]) -> None:
+    """Write data to --out with its manifest, or to stdout; the manifest
+    (which hashes every input) is built only for --out."""
     if args.out:
         Path(args.out).write_bytes(data)
-        _write_manifest(args.out, manifest)
+        _write_manifest(args.out, manifest())
     else:
         sys.stdout.write(data.decode("utf-8"))
 
@@ -66,6 +79,8 @@ def _model_config(args: argparse.Namespace) -> model.ModelConfig:
 
 
 def _load_corpus(args: argparse.Namespace) -> list[corpus.CorpusRecord]:
+    from . import corpus
+
     path = args.corpus
     fmt = args.corpus_format
     if fmt == "auto":
@@ -122,7 +137,7 @@ def cmd_pf(args: argparse.Namespace) -> int:
         "fallback_distance": estimate.fallback_distance,
     })
     data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    _write_output(args, data, build_manifest(args, [args.table]))
+    _write_output(args, data, lambda: build_manifest(args, [args.table]))
     return 0
 
 
@@ -173,11 +188,13 @@ def cmd_shifts(args: argparse.Namespace) -> int:
         data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     else:
         data = _shift_records_csv(records)
-    _write_output(args, data, build_manifest(args, [args.table]))
+    _write_output(args, data, lambda: build_manifest(args, [args.table]))
     return 0
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from . import sampling
+
     ids: list[str] | None = None
     if args.ids_file:
         ids = [line.strip() for line in
@@ -200,11 +217,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
         n = args.size if args.size is not None else spec.computed_n
         lines.extend(sampling.draw_sample(ids, n, args.seed))
     data = ("\n".join(lines) + "\n").encode("utf-8")
-    _write_output(args, data, manifest)
+    _write_output(args, data, lambda: manifest)
     return 0
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import trend
+
     table = _load_table(args)
     records = _load_corpus(args)
     config = trend.EstimatorConfig(
@@ -217,17 +236,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     thresholds = model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male)
     points = trend.annual_share(records, table, _model_config(args), thresholds, config)
     data = trend.emit_series(points, args.format)
-    _write_output(args, data, build_manifest(args, [args.corpus, args.table, args.overrides]))
+    _write_output(args, data,
+                  lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
     return 0
 
 
 def cmd_bias_report(args: argparse.Namespace) -> int:
+    from . import trend
+
     table = _load_table(args)
     records = _load_corpus(args)
     report = trend.present_bias_report(records, table, _model_config(args),
                                        reference_year=args.reference_year)
     data = trend.emit_series(report, args.format)
-    _write_output(args, data, build_manifest(args, [args.corpus, args.table, args.overrides]))
+    _write_output(args, data,
+                  lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
     return 0
 
 
@@ -376,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[corpus_args], formatter_class=fmt,
                        help="aggregate a corpus into a women's-share series")
-    p.add_argument("--estimator", choices=[e.value for e in trend.Estimator],
-                   default=trend.Estimator.WEIGHTED_MEAN.value,
+    p.add_argument("--estimator", choices=ESTIMATORS, default=ESTIMATORS[0],
                    help="aggregation convention")
     p.add_argument("--unknown-value", type=float, default=0.5,
                    help="contribution of an unidentified author under weighted-mean")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import xml.parsers.expat
 from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterable, Sequence
@@ -163,6 +164,12 @@ def serialize_corpus_csv(records: Sequence[CorpusRecord]) -> str:
 
 _PUBLICATION_TAGS = frozenset({"article", "inproceedings"})
 _TEXT_TAGS = frozenset({"author", "year", "booktitle", "journal"})
+# Everything that may come before a document's root element: a byte-order
+# mark, then white space, comments, processing instructions (the XML
+# declaration among them) and a DOCTYPE, whose internal subset, if any, holds
+# no "]".
+_PROLOG_RE = re.compile(rb"(?:\xef\xbb\xbf)?(?:\s+|<!--.*?-->|<\?.*?\?>"
+                        rb"|<!DOCTYPE\s[^\[>]*(?:\[[^\]]*\]\s*)?>)*", re.S)
 _STREAM_WRAPPER_OPEN = b"<namecohort-stream>"
 _STREAM_WRAPPER_CLOSE = b"</namecohort-stream>"
 _CHUNK_SIZE = 1 << 16
@@ -204,6 +211,16 @@ class _DblpHandler:
     def characters(self, data: str) -> None:
         if self._text_tag is not None:
             self._chunks.append(data)
+
+    def skipped_entity(self, name: str, is_parameter_entity: bool) -> None:
+        """A reference to an entity the unread external DTD would declare:
+        its text is that of the HTML named entity."""
+        import html.entities
+
+        text = html.entities.html5.get(f"{name};")
+        if is_parameter_entity or text is None:
+            raise DblpParseError(f"undefined entity &{name};", self._offset())
+        self.characters(text)
 
     def end_element(self, tag: str) -> None:
         if self._current is None:
@@ -270,42 +287,57 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
     once per call), regardless of file size. Publications missing a key, a
     usable year, or any author are skipped and tallied; in strict mode the
     first of them raises DblpParseError with the byte offset of its start
-    tag. Malformed XML (including entities beyond the XML built-ins) raises
-    DblpParseError with the byte offset. The input may be a whole document
-    or a root-less fragment stream.
+    tag. Malformed XML raises DblpParseError with the byte offset. The input
+    may be a whole document or a root-less fragment stream. A document's
+    XML declaration and DOCTYPE are read as such, within the first 64 KiB:
+    a byte stream is decoded by the declared encoding (a text stream is
+    already decoded), and when the DOCTYPE names an external DTD, which is
+    never fetched, a named entity it would declare, such as ``&uuml;``, is
+    resolved as the HTML entity of that name. Entity declarations, and
+    other entities beyond the XML built-ins, raise DblpParseError.
     """
     result = CorpusParseResult()
-    parser = xml.parsers.expat.ParserCreate()
+    head = stream.read(_CHUNK_SIZE)
+    text_mode = isinstance(head, str)
+    if text_mode:
+        head = head.encode("utf-8")
+    parser = xml.parsers.expat.ParserCreate("UTF-8" if text_mode else None)
+    # The wrapper element follows the prolog, since a declaration must start
+    # the document and a DOCTYPE must precede its root.
+    prolog = _PROLOG_RE.match(head).end()
 
-    def offset() -> int:
-        return max(0, parser.CurrentByteIndex - len(_STREAM_WRAPPER_OPEN))
+    def input_offset(index: int) -> int:
+        """The input's byte offset at the parser's index, wrapper excluded."""
+        return index if index < prolog else max(prolog, index - len(_STREAM_WRAPPER_OPEN))
 
-    handler = _DblpHandler(result, strict, offset)
+    handler = _DblpHandler(result, strict, lambda: input_offset(parser.CurrentByteIndex))
     parser.buffer_text = True
     parser.SetParamEntityParsing(xml.parsers.expat.XML_PARAM_ENTITY_PARSING_NEVER)
     parser.StartElementHandler = handler.start_element
     parser.EndElementHandler = handler.end_element
     parser.CharacterDataHandler = handler.characters
+    parser.SkippedEntityHandler = handler.skipped_entity
 
     def reject_entity_decl(*_args):
-        raise DblpParseError("entity declarations are not supported", offset())
+        raise DblpParseError("entity declarations are not supported",
+                             input_offset(parser.CurrentByteIndex))
 
     parser.EntityDeclHandler = reject_entity_decl
     parser.ExternalEntityRefHandler = lambda *a: 0
 
     try:
+        parser.Parse(head[:prolog], False)
         parser.Parse(_STREAM_WRAPPER_OPEN, False)
-        while True:
+        chunk = head[prolog:]
+        while chunk:
+            parser.Parse(chunk, False)
             chunk = stream.read(_CHUNK_SIZE)
-            if not chunk:
-                break
             if isinstance(chunk, str):
                 chunk = chunk.encode("utf-8")
-            parser.Parse(chunk, False)
         parser.Parse(_STREAM_WRAPPER_CLOSE, True)
     except xml.parsers.expat.ExpatError as exc:
-        offset = max(0, parser.ErrorByteIndex - len(_STREAM_WRAPPER_OPEN))
-        raise DblpParseError(xml.parsers.expat.errors.messages[exc.code], offset) from None
+        raise DblpParseError(xml.parsers.expat.errors.messages[exc.code],
+                             input_offset(parser.ErrorByteIndex)) from None
     return result
 
 

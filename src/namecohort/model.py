@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .ssa import Columns, NameYearTable
+from .ssa import NameYearTable
 
 DEFAULT_YEAR_SHIFT = 30
 DEFAULT_MAX_FALLBACK = 10
@@ -87,7 +87,9 @@ class Thresholds:
             raise ValueError("require 0 <= tau_male < tau_female <= 1")
 
 
-_UNKNOWN_COUNTS = (0, 0)
+# A lookup's result as a plain tuple, in GenderEstimate's field order:
+# (p_female, female_count, male_count, lookup_year, fallback_distance).
+Estimate = tuple[float | None, int, int, int, int]
 
 
 def p_female(table: NameYearTable, name: str, year: int,
@@ -99,29 +101,31 @@ def p_female(table: NameYearTable, name: str, year: int,
     toward the earlier year) and the distance is recorded. When no year
     qualifies the estimate is Unknown.
     """
-    return lookup(table.columns(name), year, max_fallback_distance)
+    return GenderEstimate(*lookup(table, table.span(name), year, max_fallback_distance))
 
 
-def lookup(columns: Columns, year: int, max_fallback_distance: int) -> GenderEstimate:
-    """:func:`p_female` over one name's columns, which the caller has already
-    fetched (so the name is not normalized again)."""
-    years, females, males = columns
-    i = bisect_left(years, year)
-    if i < len(years) and years[i] == year:
-        female, male = females[i], males[i]
-        return GenderEstimate(female / (female + male), female, male, year)
+def lookup(table: NameYearTable, span: tuple[int, int], year: int,
+           max_fallback_distance: int) -> Estimate:
+    """:func:`p_female` as a plain tuple, over the slice ``span`` of the table's
+    columns that the caller has already fetched (so the name is not
+    normalized again)."""
+    lo, hi = span
+    years = table.years
+    i = bisect_left(years, year, lo, hi)
+    if i < hi and years[i] == year:
+        female, male = table.females[i], table.males[i]
+        return female / (female + male), female, male, year, 0
     # The nearest years with data are years[i - 1] below and years[i] above.
     best = None
-    if i > 0 and year - years[i - 1] <= max_fallback_distance:
+    if i > lo and year - years[i - 1] <= max_fallback_distance:
         best = i - 1
-    if i < len(years) and years[i] - year <= max_fallback_distance and (
+    if i < hi and years[i] - year <= max_fallback_distance and (
             best is None or years[i] - year < year - years[best]):
         best = i
     if best is None:
-        return GenderEstimate(None, *_UNKNOWN_COUNTS, lookup_year=year)
-    nearest, female, male = years[best], females[best], males[best]
-    return GenderEstimate(female / (female + male), female, male,
-                          lookup_year=nearest, fallback_distance=abs(nearest - year))
+        return None, 0, 0, year, 0
+    nearest, female, male = years[best], table.females[best], table.males[best]
+    return female / (female + male), female, male, nearest, abs(nearest - year)
 
 
 def shifted_lookup(table: NameYearTable, name: str, publication_year: int,
@@ -132,20 +136,21 @@ def shifted_lookup(table: NameYearTable, name: str, publication_year: int,
     year; the clamp distance is folded into fallback_distance so provenance
     stays visible.
     """
-    return cohort_lookup(table, table.columns(name), publication_year, config)
+    return GenderEstimate(*cohort_lookup(table, table.span(name), publication_year, config))
 
 
-def cohort_lookup(table: NameYearTable, columns: Columns, publication_year: int,
-                  config: ModelConfig) -> GenderEstimate:
-    """:func:`shifted_lookup` over one name's columns already fetched from table."""
+def cohort_lookup(table: NameYearTable, span: tuple[int, int], publication_year: int,
+                  config: ModelConfig) -> Estimate:
+    """:func:`shifted_lookup` as a plain tuple, over a span already fetched from table."""
     target = publication_year - config.year_shift
     clamp = 0
     if table.year_range is not None and target < table.year_range[0]:
         clamp = table.year_range[0] - target
         target = table.year_range[0]
-    result = lookup(columns, target, config.max_fallback_distance)
-    if clamp and result.known:
-        result = replace(result, fallback_distance=result.fallback_distance + clamp)
+    result = lookup(table, span, target, config.max_fallback_distance)
+    if clamp and result[0] is not None:
+        p, female, male, used, distance = result
+        result = p, female, male, used, distance + clamp
     return result
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import DEFAULT_MAX_FALLBACK, GenderEstimate, lookup, p_female
+from .model import DEFAULT_MAX_FALLBACK, lookup, p_female
 from .names import normalize_name
-from .ssa import Columns, NameYearTable
+from .ssa import NameYearTable
 
 DEFAULT_SAMPLE_YEARS = (1900, 1925, 1950, 1975, 2000)
 
@@ -64,42 +64,45 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     endpoints, which avoids favoring either endpoint when ranking by size.
     Raises EndpointMissingError naming the year that had no data.
     """
-    return _shift(name, normalize_name(name),
-                  lambda year: p_female(table, name, year, max_fallback_distance), y1, y2)
+    def at(year: int) -> tuple[float | None, int]:
+        estimate = p_female(table, name, year, max_fallback_distance)
+        return estimate.p_female, estimate.total
+
+    return _shift(name, normalize_name(name), at, y1, y2)
 
 
-def _shift(name: str, key: str, lookup_at: Callable[[int], GenderEstimate],
+def _shift(name: str, key: str, at: Callable[[int], tuple[float | None, int]],
            y1: int, y2: int) -> ShiftRecord:
     """:func:`gender_shift` of the name whose normalized key is given, with
-    lookup_at(year) as its p(F) at a year."""
+    at(year) as its (p(F) or None, total births used) at a year."""
     if y1 >= y2:
         raise ValueError("require y1 < y2")
-    start = lookup_at(y1)
-    if not start.known:
+    p_start, start_total = at(y1)
+    if p_start is None:
         raise EndpointMissingError(name, y1)
-    end = lookup_at(y2)
-    if not end.known:
+    p_end, end_total = at(y2)
+    if p_end is None:
         raise EndpointMissingError(name, y2)
     return ShiftRecord(
         name=key,
-        p_start=start.p_female,
-        p_end=end.p_female,
-        delta=end.p_female - start.p_female,
-        weight=(start.total + end.total) / 2,
+        p_start=p_start,
+        p_end=p_end,
+        delta=p_end - p_start,
+        weight=(start_total + end_total) / 2,
     )
 
 
-def _sample_profile(columns: Columns, config: InstabilityConfig,
+def _sample_profile(table: NameYearTable, span: tuple[int, int], config: InstabilityConfig,
                     max_fallback_distance: int) -> tuple[list[float], int]:
-    """Known p(F) values of one name's columns at the sample years, plus total
-    births used."""
+    """Known p(F) values of one name's span of table at the sample years, plus
+    total births used."""
     ps = []
     births = 0
     for year in config.sample_years:
-        estimate = lookup(columns, year, max_fallback_distance)
-        if estimate.known:
-            ps.append(estimate.p_female)
-            births += estimate.total
+        p, female, male, _, _ = lookup(table, span, year, max_fallback_distance)
+        if p is not None:
+            ps.append(p)
+            births += female + male
     return ps, births
 
 
@@ -114,7 +117,8 @@ def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityC
     """
     qualifying = []
     for name in table.names():
-        ps, births = _sample_profile(table.key_columns(name), config, max_fallback_distance)
+        ps, births = _sample_profile(table, table.key_span(name), config,
+                                     max_fallback_distance)
         if len(ps) < 2 or births < config.min_total_births:
             continue
         p_range = max(ps) - min(ps)
@@ -137,11 +141,14 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
         raise ValueError("k must be >= 1")
     records = []
     for name in table.names():
-        columns = table.key_columns(name)
+        span = table.key_span(name)
+
+        def at(year: int) -> tuple[float | None, int]:
+            p, female, male, _, _ = lookup(table, span, year, max_fallback_distance)
+            return p, female + male
+
         try:
-            records.append(_shift(name, name,
-                                  lambda year: lookup(columns, year, max_fallback_distance),
-                                  y1, y2))
+            records.append(_shift(name, name, at, y1, y2))
         except EndpointMissingError:
             continue
     if weighted:

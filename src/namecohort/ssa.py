@@ -10,12 +10,17 @@ unknown rather than inventing a prior.
 from __future__ import annotations
 
 import functools
+import os
 import re
-from bisect import bisect_left
+import struct
+import sys
+import zlib
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
-from operator import add, lt
+from operator import eq, lt, or_, truth
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping
 
@@ -23,8 +28,13 @@ from .names import normalize_name
 
 _YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
 
-SNAPSHOT_MAGIC = "# namecohort-table v2"
-SNAPSHOT_HEADER = "name,years,female_counts,male_counts"
+SNAPSHOT_MAGIC = "# namecohort-table v3"
+_MAGIC_LINE = SNAPSHOT_MAGIC.encode("ascii") + b"\n"
+# Names, entries, name-block bytes and the CRC-32 of the rest, after the
+# magic line.
+_HEADER = struct.Struct("<QQQI")
+# Snapshot columns are little-endian whatever the machine's byte order.
+_SWAP = sys.byteorder == "big"
 
 
 class SsaFormatError(ValueError):
@@ -49,7 +59,7 @@ class DuplicateEntryError(ValueError):
 
 
 class SnapshotFormatError(ValueError):
-    """A table snapshot has an unsupported version or a malformed line."""
+    """A table snapshot has an unsupported version or breaks a table invariant."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,26 +80,33 @@ class NameCountRecord:
             raise ValueError("name must be non-empty")
 
 
-# One name's years, ascending, with the female and male count for each.
-Columns = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-_NO_COLUMNS: Columns = ((), (), ())
-# The loader's merge state: {name: {year: count}} for females, then males.
+# Column types: years fit two bytes, counts, and the snapshot's name offsets,
+# four.
+_YEAR = "H"
+_U32 = "I" if array("I").itemsize == 4 else "L"
+if array(_YEAR).itemsize != 2 or array(_U32).itemsize != 4:
+    raise ImportError("namecohort needs 2-byte 'H' and 4-byte unsigned array types")
+_NO_SPAN = (0, 0)
+# The builders' merge state: {name: {year: count}} for females, then males.
 _Slots = tuple[dict[str, dict[int, int]], dict[str, dict[int, int]]]
+# A table's sorted names and its (offsets, years, females, males) columns.
+_Columns = tuple[list[str], array, array, array, array]
 
 
 class NameYearTable:
     """Immutable map from (name, year) to (female_count, male_count), stored by name.
 
-    Each normalized name holds three tuples of equal length: its years
-    ascending, and the female and male count for each year. The mapping
-    constructor groups its input into that layout; the year-file loader and
-    :func:`read_snapshot` build it directly. Afterwards the table is safe for
-    unlimited concurrent readers. Lookups normalize the queried name, so
-    table consumers may pass raw-cased names. Two keys that normalize to the
-    same (name, year) raise DuplicateEntryError.
+    Three flat columns of equal length hold every entry: ``years`` (ascending
+    within each name) and the ``females`` and ``males`` count for each year.
+    Each normalized name owns the slice ``[lo, hi)`` of the columns that
+    :meth:`span` returns; names own consecutive slices in sorted order. The
+    columns are shared with every reader and must not be modified. Lookups
+    normalize the queried name, so table consumers may pass raw-cased names.
+    Two keys that normalize to the same (name, year) raise
+    DuplicateEntryError.
     """
 
-    __slots__ = ("_columns", "_names", "_len", "_year_range")
+    __slots__ = ("years", "females", "males", "_offsets", "_names", "_spans", "_year_range")
 
     def __init__(self, counts: Mapping[tuple[str, int], tuple[int, int]]):
         normalize = functools.cache(normalize_name)
@@ -109,23 +126,26 @@ class NameYearTable:
                 female_years[year] = female
             if male:
                 male_years[year] = male
-        self._set_columns(_group((females, males)))
+        self._set_columns(*_grouped((females, males)))
 
     @classmethod
-    def _from_columns(cls, columns: dict[str, Columns]) -> NameYearTable:
+    def _from_columns(cls, names: list[str], offsets: array, years: array, females: array,
+                      males: array) -> NameYearTable:
         """A table over columns that are already normalized, sorted and checked."""
         table = cls.__new__(cls)
-        table._set_columns(columns)
+        table._set_columns(names, offsets, years, females, males)
         return table
 
-    def _set_columns(self, columns: dict[str, Columns]) -> None:
-        self._columns = columns
-        self._names = tuple(sorted(columns))
-        self._len = sum(len(years) for years, _, _ in columns.values())
+    def _set_columns(self, names: list[str], offsets: array, years: array, females: array,
+                     males: array) -> None:
+        self._names = tuple(names)
+        self._offsets = offsets
+        self.years, self.females, self.males = years, females, males
+        self._spans = dict(zip(self._names, zip(offsets, offsets[1:])))
         self._year_range = (
-            (min(years[0] for years, _, _ in columns.values()),
-             max(years[-1] for years, _, _ in columns.values()))
-            if columns else None
+            (min(map(years.__getitem__, offsets[:-1])),
+             max(years[hi - 1] for hi in offsets[1:]))
+            if names else None
         )
 
     @property
@@ -133,33 +153,29 @@ class NameYearTable:
         """(min_year, max_year) with data, or None for an empty table."""
         return self._year_range
 
-    def columns(self, name: str) -> Columns:
-        """(years, female_counts, male_counts) for the name; empty tuples when absent."""
-        return self.key_columns(normalize_name(name))
+    def span(self, name: str) -> tuple[int, int]:
+        """The name's slice ``(lo, hi)`` of the columns; ``(0, 0)`` when absent."""
+        return self.key_span(normalize_name(name))
 
-    def key_columns(self, key: str) -> Columns:
-        """:meth:`columns` for a key that is already normalized, such as one of
+    def key_span(self, key: str) -> tuple[int, int]:
+        """:meth:`span` for a key that is already normalized, such as one of
         :meth:`names`; the key is not normalized again."""
-        return self._columns.get(key, _NO_COLUMNS)
+        return self._spans.get(key, _NO_SPAN)
 
     def counts(self, name: str, year: int) -> tuple[int, int] | None:
         """Exact-year (female, male) counts, or None when absent."""
-        years, females, males = self.columns(name)
-        i = bisect_left(years, year)
-        if i < len(years) and years[i] == year:
-            return females[i], males[i]
+        lo, hi = self.span(name)
+        i = bisect_left(self.years, year, lo, hi)
+        if i < hi and self.years[i] == year:
+            return self.females[i], self.males[i]
         return None
-
-    def years_for(self, name: str) -> tuple[int, ...]:
-        """All years with data for the name, ascending."""
-        return self.columns(name)[0]
 
     def names(self) -> tuple[str, ...]:
         """All names in the table, sorted."""
         return self._names
 
     def __len__(self) -> int:
-        return self._len
+        return len(self.years)
 
     def __contains__(self, key: tuple[str, int]) -> bool:
         return self.counts(*key) is not None
@@ -167,24 +183,42 @@ class NameYearTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NameYearTable):
             return NotImplemented
-        return self._columns == other._columns
+        return (self._names == other._names and self._offsets == other._offsets
+                and self.years == other.years and self.females == other.females
+                and self.males == other.males)
 
     def __repr__(self) -> str:
         span = f"{self._year_range[0]}-{self._year_range[1]}" if self._year_range else "empty"
-        return f"NameYearTable({self._len} entries, years {span})"
+        return f"NameYearTable({len(self)} entries, years {span})"
 
 
-def _group(slots: _Slots) -> dict[str, Columns]:
-    """Turn per-sex {name: {year: count}} slots into sorted per-name columns;
-    a year missing for one sex counts 0 there."""
+def _grouped(slots: _Slots) -> _Columns:
+    """The sorted names and the (offsets, years, females, males) columns of
+    the slots; a year missing for one sex counts 0 there.
+
+    Raises ValueError for a name that is empty or holds a line break (the
+    snapshot's name block could not hold it), and for a year or count
+    outside its column's range.
+    """
     females, males = slots
-    columns = {}
-    for name in females.keys() | males.keys():
-        female, male = females.get(name, {}), males.get(name, {})
-        years = tuple(sorted(female.keys() | male.keys()))
-        columns[name] = (years, tuple(map(female.get, years, repeat(0))),
-                         tuple(map(male.get, years, repeat(0))))
-    return columns
+    names = sorted(females.keys() | males.keys())
+    offsets, years = array(_U32, [0]), array(_YEAR)
+    female_column, male_column = array(_U32), array(_U32)
+    empty: dict[int, int] = {}
+    for name in names:
+        if not name or "\n" in name:
+            raise ValueError(f"table name {name!r} is empty or holds a line break")
+        female, male = females.get(name, empty), males.get(name, empty)
+        name_years = sorted(female.keys() | male.keys())
+        try:
+            years.extend(name_years)
+            female_column.extend(map(female.get, name_years, repeat(0)))
+            male_column.extend(map(male.get, name_years, repeat(0)))
+        except OverflowError:
+            raise ValueError(f"a year or count of {name!r} is outside the table's range "
+                             f"(years 0-{2**16 - 1}, counts 0-{2**32 - 1})") from None
+        offsets.append(len(years))
+    return names, offsets, years, female_column, male_column
 
 
 def _undecodable_line(path: str | Path) -> int:
@@ -283,7 +317,7 @@ def build_table(records: Iterable[NameCountRecord]) -> NameYearTable:
         name = normalize(record.name)
         if _fill(slots, record.year, [(None, name, record.sex, record.count)]):
             raise DuplicateEntryError(name, record.sex, record.year)
-    return NameYearTable._from_columns(_group(slots))
+    return NameYearTable._from_columns(*_grouped(slots))
 
 
 def serialize_table(table: NameYearTable) -> dict[int, str]:
@@ -295,7 +329,9 @@ def serialize_table(table: NameYearTable) -> dict[int, str]:
     """
     by_year: dict[int, list[tuple[str, str, int]]] = {}
     for name in table.names():
-        for year, female, male in zip(*table.columns(name)):
+        lo, hi = table.key_span(name)
+        for year, female, male in zip(table.years[lo:hi], table.females[lo:hi],
+                                      table.males[lo:hi]):
             if female:
                 by_year.setdefault(year, []).append((name, "F", female))
             if male:
@@ -340,7 +376,7 @@ def load_directory(directory: Path) -> NameYearTable:
         raise FileNotFoundError(f"no yobYYYY.txt year files found in {directory}")
     if duplicate is not None:
         raise duplicate
-    return NameYearTable._from_columns(_group(slots))
+    return NameYearTable._from_columns(*_grouped(slots))
 
 
 @functools.lru_cache(maxsize=1)
@@ -357,88 +393,145 @@ def load_fixture() -> NameYearTable:
 
 
 def write_snapshot(table: NameYearTable, path: Path) -> None:
-    """Write a versioned snapshot of the table, one line per name.
+    """Write a versioned binary snapshot of the table.
 
-    Names are sorted; each line is ``name,years,female_counts,male_counts``
-    with the three columns as space-separated integers, years ascending.
+    After the magic line comes a header of three unsigned 64-bit counts
+    (names, entries, bytes of the name block) and the CRC-32 of everything
+    after the header. Then come the sorted names joined by newlines in
+    UTF-8, the name offsets (names + 1 unsigned 32-bit values; name k owns
+    entries offsets[k] to offsets[k + 1]), the years (unsigned 16-bit), and
+    the female and male counts (unsigned 32-bit). Every number is
+    little-endian.
     """
-    lines = [SNAPSHOT_MAGIC, SNAPSHOT_HEADER]
-    for name in table.names():
-        lines.append(",".join([name, *(" ".join(map(str, column))
-                                       for column in table.columns(name))]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    block = "\n".join(table.names()).encode("utf-8")
+    columns = [table._offsets, table.years, table.females, table.males]
+    if _SWAP:
+        columns = [array(column.typecode, column) for column in columns]
+        for column in columns:
+            column.byteswap()
+    checksum = _checksum(block, columns)
+    with open(path, "wb") as stream:
+        stream.write(_MAGIC_LINE)
+        stream.write(_HEADER.pack(len(table.names()), len(table), len(block), checksum))
+        stream.write(block)
+        for column in columns:
+            column.tofile(stream)
 
 
-def _check_row(name: str, years: tuple[int, ...], females: tuple[int, ...],
-               males: tuple[int, ...], where: str) -> None:
-    """Raise for a decoded snapshot row that :func:`write_snapshot` cannot write."""
-    if not years:
-        raise SnapshotFormatError(f"{where}: row has no years")
-    if not len(years) == len(females) == len(males):
-        raise SnapshotFormatError(
-            f"{where}: ragged row: {len(years)} years, {len(females)} female counts, "
-            f"{len(males)} male counts")
-    if not all(map(lt, years, years[1:])):
-        before, year = next((a, b) for a, b in zip(years, years[1:]) if a >= b)
-        if before == year:
-            raise DuplicateEntryError(name, None, year, where=where)
-        raise SnapshotFormatError(f"{where}: years out of order ({before} before {year})")
-    if min(females) < 0 or min(males) < 0:
-        year = next(y for y, f, m in zip(years, females, males) if f < 0 or m < 0)
-        raise SnapshotFormatError(f"{where}: negative count for ({name}, {year})")
-    if 0 in map(add, females, males):
-        year = next(y for y, f, m in zip(years, females, males) if f == m == 0)
-        raise SnapshotFormatError(f"{where}: empty entry for ({name}, {year})")
+def _read_column(stream: IO[bytes], typecode: str, n: int) -> array:
+    column = array(typecode)
+    column.fromfile(stream, n)
+    return column
+
+
+def _checksum(block: bytes, columns: list[array]) -> int:
+    """The CRC-32 of the name block and then of the columns' stored bytes."""
+    crc = zlib.crc32(block)
+    for column in columns:
+        crc = zlib.crc32(column, crc)
+    return crc
+
+
+def _first_false(values: Iterable[object]) -> int:
+    """The index of the first false value, or -1 when every value is true."""
+    return bytearray(map(truth, values)).find(0)
 
 
 def read_snapshot(path: Path) -> NameYearTable:
     """Load a snapshot written by :func:`write_snapshot`.
 
-    Every line is decoded and checked before the table is returned, so a
-    corrupt row fails the load even for a name nobody looks up. A missing
-    or different version line, a v1 snapshot included, raises
-    SnapshotFormatError asking for a re-ingest, so a stale snapshot can
-    never silently mis-answer. A malformed row (field count, non-integer
-    cell, no years, ragged columns, years out of order, negative counts, a
-    0/0 entry, bytes that are not UTF-8) raises SnapshotFormatError; a
-    repeated year, or a name that repeats or normalizes like an earlier one,
-    raises DuplicateEntryError (for the repeated line, its first year). Each
-    error names ``path:line``.
+    The whole file is checked before the table is returned, so a corrupt
+    entry fails the load even for a name nobody looks up. A missing or
+    different magic line, v1 and v2 snapshots included, raises
+    SnapshotFormatError asking for a re-ingest, so a stale snapshot can never
+    silently mis-answer. SnapshotFormatError is also raised for a file
+    whose length differs from the one its header describes or whose
+    contents do not match the header's checksum, and for a name block
+    that is not UTF-8 or holds another number of names, an empty or
+    unnormalized name, names out of order, offsets that do not cover the
+    entries or give a name no years, years out of order within a name, and a
+    0/0 entry. A repeated year within a name, or a name that repeats or
+    normalizes like another, raises DuplicateEntryError. Each error names
+    the path and the offending name or entry.
     """
+    with open(path, "rb") as stream:
+        size = os.fstat(stream.fileno()).st_size
+        if stream.read(len(_MAGIC_LINE)) != _MAGIC_LINE:
+            raise SnapshotFormatError(
+                f"{path}: unsupported table snapshot (expected {SNAPSHOT_MAGIC!r}); "
+                "re-run `namecohort ingest` to rebuild it")
+        header = stream.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise SnapshotFormatError(f"{path}: truncated snapshot header")
+        n_names, n_entries, block_size, checksum = _HEADER.unpack(header)
+        expected = (len(_MAGIC_LINE) + _HEADER.size + block_size + 4 * (n_names + 1)
+                    + 10 * n_entries)
+        if size != expected:
+            raise SnapshotFormatError(
+                f"{path}: {size} bytes, but its header describes {expected} "
+                f"({n_names} names, {n_entries} entries, {block_size}-byte name block)")
+        block = stream.read(block_size)
+        columns = [_read_column(stream, typecode, n)
+                   for typecode, n in ((_U32, n_names + 1), (_YEAR, n_entries),
+                                       (_U32, n_entries), (_U32, n_entries))]
+    if _checksum(block, columns) != checksum:
+        raise SnapshotFormatError(f"{path}: checksum mismatch; the snapshot is corrupt")
+    if _SWAP:
+        for column in columns:
+            column.byteswap()
+    offsets, years, females, males = columns
     try:
-        with open(path, encoding="utf-8") as stream:
-            magic = stream.readline().strip()
-            if magic != SNAPSHOT_MAGIC:
-                raise SnapshotFormatError(
-                    f"{path}: unsupported table snapshot (expected {SNAPSHOT_MAGIC!r}); "
-                    "re-run `namecohort ingest` to rebuild it"
-                )
-            header = stream.readline().strip()
-            if header != SNAPSHOT_HEADER:
-                raise SnapshotFormatError(f"{path}: unexpected snapshot header {header!r}")
-            # Years and small counts repeat across names: decode each cell text once
-            # and share the resulting int objects.
-            number = functools.cache(int)
-            columns: dict[str, Columns] = {}
-            for lineno, line in enumerate(stream, start=3):
-                line = line.strip()
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != 4:
-                    raise SnapshotFormatError(f"{path}:{lineno}: malformed snapshot row")
-                try:
-                    years, females, males = (tuple(map(number, cell.split()))
-                                             for cell in fields[1:])
-                except ValueError:
-                    raise SnapshotFormatError(
-                        f"{path}:{lineno}: non-integer snapshot cell") from None
-                name = normalize_name(fields[0])
-                _check_row(name, years, females, males, f"{path}:{lineno}")
-                if name in columns:
-                    raise DuplicateEntryError(name, None, years[0], where=f"{path}:{lineno}")
-                columns[name] = (years, females, males)
+        names = block.decode("utf-8").split("\n") if block else []
     except UnicodeDecodeError as exc:
+        line = block.count(b"\n", 0, exc.start) + 1
         raise SnapshotFormatError(
-            f"{path}:{_undecodable_line(path)}: not UTF-8 ({exc.reason})") from None
-    return NameYearTable._from_columns(columns)
+            f"{path}: name {line} of the name block is not UTF-8 ({exc.reason})") from None
+    if len(names) != n_names:
+        raise SnapshotFormatError(
+            f"{path}: name block holds {len(names)} names, header says {n_names}")
+    _check_columns(str(path), names, offsets, years, females, males)
+    return NameYearTable._from_columns(names, offsets, years, females, males)
+
+
+def _check_columns(where: str, names: list[str], offsets: array, years: array,
+                   females: array, males: array) -> None:
+    """Raise for decoded snapshot columns that :func:`write_snapshot` cannot
+    write; each check is one pass over a whole column."""
+    if offsets[0] != 0 or offsets[-1] != len(years):
+        raise SnapshotFormatError(
+            f"{where}: name offsets run {offsets[0]}-{offsets[-1]}, "
+            f"not over the {len(years)} entries")
+    k = _first_false(map(lt, offsets, offsets[1:]))
+    if k >= 0:
+        problem = "has no years" if offsets[k] == offsets[k + 1] else "has a negative span"
+        raise SnapshotFormatError(f"{where}: name {names[k]!r} {problem}")
+    k = _first_false(names)
+    if k >= 0:
+        raise SnapshotFormatError(f"{where}: name {k + 1} is empty")
+    k = _first_false(map(lt, names, names[1:]))
+    if k >= 0:
+        name = names[k + 1]
+        if name == names[k]:
+            raise DuplicateEntryError(name, None, years[offsets[k + 1]], where=where)
+        raise SnapshotFormatError(f"{where}: names out of order ({names[k]!r} before {name!r})")
+    k = _first_false(map(eq, names, map(normalize_name, names)))
+    if k >= 0:
+        name, key = names[k], normalize_name(names[k])
+        if key in names:
+            raise DuplicateEntryError(key, None, years[offsets[k]], where=where)
+        raise SnapshotFormatError(f"{where}: name {name!r} is not normalized")
+    rising = bytearray(map(lt, years, years[1:]))
+    for end in offsets[1:-1]:
+        rising[end - 1] = True  # the next entry starts another name
+    k = rising.find(0)
+    if k >= 0:
+        name = names[bisect_right(offsets, k) - 1]
+        before, year = years[k], years[k + 1]
+        if before == year:
+            raise DuplicateEntryError(name, None, year, where=where)
+        raise SnapshotFormatError(f"{where}: years of {name!r} out of order "
+                                  f"({before} before {year})")
+    if 0 in map(or_, females, males):
+        k = _first_false(map(or_, females, males))
+        name = names[bisect_right(offsets, k) - 1]
+        raise SnapshotFormatError(f"{where}: empty entry for ({name}, {years[k]})")

@@ -12,19 +12,16 @@ one reference year, which is how present-day name tables misread history.
 
 from __future__ import annotations
 
-import csv
 import enum
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .corpus import CorpusRecord
-from .model import (Gender, GenderEstimate, ModelConfig, Thresholds, classify,
-                    cohort_lookup, lookup)
-from .ssa import Columns, NameYearTable
+from .model import Gender, ModelConfig, Thresholds, classify, cohort_lookup, lookup
+from .ssa import NameYearTable
 
 __all__ = [
     "BiasPoint", "BiasReport", "DisplayEncoding", "Estimator", "EstimatorConfig",
@@ -99,23 +96,24 @@ class BiasReport:
     max_gap: float  # gap of largest magnitude, sign preserved
 
 
-def _value(gender: Gender | None, estimate: GenderEstimate | None,
+def _value(gender: Gender | None, p: float | None,
            config: EstimatorConfig, thresholds: Thresholds) -> float | None:
     """A mention's contribution to its bin's share, or None when unidentified.
 
-    gender is the mention's override, which outranks the estimate. The
-    plain weighted mean contributes p(F) itself; the display encoding and
-    the classified share contribute the value of the mention's class (the
-    classified share ignores any display encoding).
+    gender is the mention's override, which outranks p, its estimated p(F)
+    (None when unknown or never looked up). The plain weighted mean
+    contributes p(F) itself; the display encoding and the classified share
+    contribute the value of the mention's class (the classified share
+    ignores any display encoding).
     """
     weighted = config.estimator is Estimator.WEIGHTED_MEAN
     encoding = config.display_encoding if weighted else None
     if gender is None:
-        if estimate is None:
+        if p is None:
             return None
         if weighted and encoding is None:
-            return estimate.p_female
-        gender = classify(estimate, thresholds)
+            return p
+        gender = classify(p, thresholds)
     if gender is Gender.FEMALE:
         return 1.0 if encoding is None else encoding.female
     if gender is Gender.MALE:
@@ -124,13 +122,14 @@ def _value(gender: Gender | None, estimate: GenderEstimate | None,
 
 
 def _shares(records: Sequence[CorpusRecord],
-            resolvers: Sequence[Callable[[str, int], GenderEstimate]],
+            resolvers: Sequence[Callable[[str, int], float | None]],
             config: EstimatorConfig, thresholds: Thresholds
             ) -> list[list[tuple[int | str, float | None, int, int]]]:
     """For each resolver, (bin label, share, n_authors, n_identified) for each
     non-empty bin, in order, from one pass over the mentions.
 
-    A resolver maps (first_name, publication_year) to an estimate. Each
+    A resolver maps (first_name, publication_year) to p(F), or None when
+    unknown. Each
     distinct pair is resolved and valued once per call; overridden and
     initial-only mentions take the value of their override (or none), since
     an override outranks any estimate. The weighted mean fills unidentified
@@ -176,10 +175,11 @@ def _shares(records: Sequence[CorpusRecord],
     return series
 
 
-def _cohort(table: NameYearTable, columns: Callable[[str], Columns],
-            model_config: ModelConfig) -> Callable[[str, int], GenderEstimate]:
-    """:func:`shifted_lookup` over a per-call memo of each first name's columns."""
-    return lambda name, year: cohort_lookup(table, columns(name), year, model_config)
+def _cohort(table: NameYearTable, spans: Callable[[str], tuple[int, int]],
+            model_config: ModelConfig) -> Callable[[str, int], float | None]:
+    """The p(F) of :func:`shifted_lookup` over a per-call memo of each first
+    name's span."""
+    return lambda name, year: cohort_lookup(table, spans(name), year, model_config)[0]
 
 
 def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
@@ -193,7 +193,7 @@ def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
     omitted, never zero-filled. Each distinct (first name, publication
     year) is looked up once.
     """
-    [shares] = _shares(records, [_cohort(table, functools.cache(table.columns), model_config)],
+    [shares] = _shares(records, [_cohort(table, functools.cache(table.span), model_config)],
                        config, thresholds)
     return [TrendPoint(bin=label, share_female=share, n_authors=n_authors,
                        n_identified=identified, n_unidentified=n_authors - identified,
@@ -214,11 +214,11 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
     serves both arms: the temporal arm looks up each distinct (first name,
     publication year) once, the static arm each distinct first name once.
     """
-    columns = functools.cache(table.columns)
-    static = functools.cache(lambda name: lookup(columns(name), reference_year,
-                                                 model_config.max_fallback_distance))
+    spans = functools.cache(table.span)
+    static = functools.cache(lambda name: lookup(table, spans(name), reference_year,
+                                                 model_config.max_fallback_distance)[0])
     temporal_shares, static_shares = _shares(
-        records, [_cohort(table, columns, model_config), lambda name, _: static(name)],
+        records, [_cohort(table, spans, model_config), lambda name, _: static(name)],
         EstimatorConfig(), Thresholds())
     points = tuple(BiasPoint(bin=year, temporal_share=t_share, static_share=s_share,
                              gap=s_share - t_share)
@@ -241,13 +241,26 @@ def _field(row: TrendPoint | BiasPoint, column: str) -> object:
     return value.value if isinstance(value, Estimator) else value
 
 
+_QUOTED = frozenset(',"\n\r')
+
+
+def _csv_cell(value: object) -> str:
+    """A CSV cell: empty for None, a float's round-trip repr, and quoted with
+    its double quotes doubled when it holds a comma, a double quote, a
+    newline or a carriage return."""
+    text = "" if value is None else str(value)
+    if _QUOTED.intersection(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> bytes:
     """Serialize a trend series or bias report deterministically.
 
     Rows are sorted by bin label; CSV carries one row per bin (bias-report
     summary statistics appear only in the JSON form). A CSV cell is empty
     for None and holds a float's round-trip repr; only a cell that holds a
-    comma, a double quote or a newline is quoted.
+    comma, a double quote, a newline or a carriage return is quoted.
     """
     if isinstance(obj, BiasReport):
         columns, points = _BIAS_COLUMNS, sorted(obj.points, key=lambda p: p.bin)
@@ -255,11 +268,8 @@ def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> byt
         columns, points = _POINT_COLUMNS, sorted(obj, key=lambda p: str(p.bin))
     rows = [[_field(point, column) for column in columns] for point in points]
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        return buffer.getvalue().encode("utf-8")
+        lines = [",".join(map(_csv_cell, row)) for row in [columns, *rows]]
+        return ("\n".join(lines) + "\n").encode("utf-8")
     if fmt == "json":
         payload: object = [dict(zip(columns, row)) for row in rows]
         if isinstance(obj, BiasReport):

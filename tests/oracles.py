@@ -4,11 +4,15 @@ These work straight off a plain {(name, year): (female, male)} dict with
 exhaustive scans, independent of the library's table and search code, so
 agreement is meaningful. Trend oracles take the corpus as plain tuples:
 [(venue, publication_year, [(first_name or None, "F"/"M"/"U" or None), ...])].
+The snapshot oracle packs the v3 table snapshot byte by byte with struct.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+import struct
+import zlib
 from fractions import Fraction
 
 NAME_POOL = [f"name{i:02d}" for i in range(60)]
@@ -208,3 +212,45 @@ def random_counts(rng: random.Random, max_names: int = 50) -> dict:
                 female = rng.randint(1, 800)
             counts[(name, year)] = (female, male)
     return counts
+
+
+SNAPSHOT_HEADER = struct.Struct("<QQQI")
+
+
+def oracle_snapshot(rows: list, magic: bytes = b"# namecohort-table v3\n", *,
+                    n_names: int | None = None, n_entries: int | None = None,
+                    block_size: int | None = None, offsets: list[int] | None = None,
+                    checksum: int | None = None) -> bytes:
+    """The v3 snapshot of rows [(name, [(year, female, male), ...]), ...], in
+    the order given: the magic line; the little-endian name, entry and
+    name-block byte counts and the CRC-32 of the rest; the newline-joined
+    names (str, or bytes taken as they are); the offsets of each name's
+    first entry plus the entry count as u32; then the years (u16) and the
+    female and male counts (u32). The keywords replace a header field or
+    the offsets, to build corrupt snapshots.
+    """
+    block = b"\n".join(name if isinstance(name, bytes) else name.encode("utf-8")
+                       for name, _ in rows)
+    entries = [entry for _, name_entries in rows for entry in name_entries]
+    if offsets is None:
+        offsets = list(itertools.accumulate([len(name_entries) for _, name_entries in rows],
+                                            initial=0))
+    years, females, males = zip(*entries) if entries else ((), (), ())
+    body = (block + struct.pack(f"<{len(offsets)}I", *offsets)
+            + struct.pack(f"<{len(years)}H", *years)
+            + struct.pack(f"<{len(females)}I", *females)
+            + struct.pack(f"<{len(males)}I", *males))
+    header = SNAPSHOT_HEADER.pack(
+        len(rows) if n_names is None else n_names,
+        len(entries) if n_entries is None else n_entries,
+        len(block) if block_size is None else block_size,
+        zlib.crc32(body) if checksum is None else checksum)
+    return magic + header + body
+
+
+def oracle_snapshot_rows(counts: dict) -> list:
+    """A counts dict as :func:`oracle_snapshot` rows: names sorted, years ascending."""
+    by_name: dict[str, list] = {}
+    for (name, year), (female, male) in sorted(counts.items()):
+        by_name.setdefault(name, []).append((year, female, male))
+    return list(by_name.items())

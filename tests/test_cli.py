@@ -254,6 +254,20 @@ class TestAnalyze:
             "Plain:1990", "Proc. A, Vol 1:1990", 'The "Best" Conf:1990']
         assert stdout.splitlines()[1].startswith("Plain:1990,")
 
+    def test_venue_with_bare_carriage_return_is_one_quoted_cell(self, capsys, tmp_path):
+        corpus = tmp_path / "c.csv"
+        corpus.write_bytes(b'record_id,venue,year,authors\n'
+                           b'a1,"A\rB",1990,Mary A\n'
+                           b'a2,"C\r\nD",1990,Mary B\n'
+                           b'a3,Plain,1990,Mary C\n')
+        code, stdout, _ = run(capsys, "analyze", "--corpus", str(corpus),
+                              "--group-by-venue")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(stdout, newline="")))
+        assert [row[0] for row in rows[1:]] == ["A\rB:1990", "C\r\nD:1990", "Plain:1990"]
+        assert all(len(row) == 6 for row in rows)
+        assert '"A\rB:1990",' in stdout
+
     def test_strict_mode_aborts_lenient_tallies(self, capsys, tmp_path):
         corpus = tmp_path / "c.csv"
         corpus.write_text("record_id,venue,year,authors\n"

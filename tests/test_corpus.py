@@ -158,6 +158,9 @@ class TestCorpusCsv:
         assert [m.raw for m in record.authors] == ["Zoe A", "Amy B", "Mia C"]
 
 
+DBLP_DUMP_HEADER = (b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
+                    b'<!DOCTYPE dblp SYSTEM "dblp.dtd">\n')
+
 DBLP_SAMPLE = b"""<dblp>
 <inproceedings key="conf/x/1">
   <author>Ada One</author><author>Bea Two</author><author>Cal Three</author>
@@ -232,6 +235,47 @@ class TestDblpSubset:
                     b'<year>1980</year></article></dblp>')
         with pytest.raises(DblpParseError):
             nc.parse_dblp_subset(io.BytesIO(declared))
+
+    def test_real_dump_header_parses_with_its_encoding_and_entities(self):
+        # A dblp.xml dump opens with an XML declaration naming ISO-8859-1 and
+        # a DOCTYPE whose DTD declares the HTML named entities.
+        xml = (DBLP_DUMP_HEADER
+               + b'<dblp>\n<article key="a/1"><author>J&uuml;rgen M\xfcller</author>'
+               b'<year>1990</year><journal>Z&ouml;ol. &amp; Bot.</journal></article>\n'
+               b'</dblp>\n')
+        [record] = nc.parse_dblp_subset(io.BytesIO(xml)).records
+        assert record.authors[0].raw == "J\u00fcrgen M\u00fcller"
+        assert record.authors[0].first_name == "jurgen"
+        assert record.venue == "Z\u00f6ol. & Bot."
+
+    def test_dump_header_keeps_byte_offsets(self):
+        xml = (DBLP_DUMP_HEADER + b'<dblp>\n<article key="a/1"><author>Ann</author>'
+               b'<year>1990</year></article>\n<article key="a/2"><author>Bo</author>'
+               b'</article>\n</dblp>\n')
+        with pytest.raises(DblpParseError) as excinfo:
+            nc.parse_dblp_subset(io.BytesIO(xml), strict=True)
+        assert excinfo.value.offset == xml.index(b'<article key="a/2"')
+        bad = xml.replace(b"</author>", b"</author?>", 1)
+        with pytest.raises(DblpParseError) as excinfo:
+            nc.parse_dblp_subset(io.BytesIO(bad))
+        assert excinfo.value.offset == bad.index(b"</author?>") + len(b"</author")
+
+    def test_dump_header_still_rejects_entity_declarations_and_unknown_entities(self):
+        declared = DBLP_DUMP_HEADER.replace(b'"dblp.dtd">', b'"dblp.dtd" [<!ENTITY x "y">]>')
+        with pytest.raises(DblpParseError, match="entity declarations"):
+            nc.parse_dblp_subset(io.BytesIO(
+                declared + b'<dblp><article key="a"><author>Ann &x;</author>'
+                b'<year>1990</year></article></dblp>'))
+        with pytest.raises(DblpParseError, match="undefined entity &nosuch;"):
+            nc.parse_dblp_subset(io.BytesIO(
+                DBLP_DUMP_HEADER + b'<dblp><article key="a"><author>Ann &nosuch;</author>'
+                b'<year>1990</year></article></dblp>'))
+
+    def test_text_stream_ignores_a_declared_byte_encoding(self):
+        text = (DBLP_DUMP_HEADER.decode("ascii") + '<dblp><article key="a">'
+                '<author>Zo\u00eb M&uuml;ller</author><year>1990</year></article></dblp>')
+        [record] = nc.parse_dblp_subset(io.StringIO(text)).records
+        assert record.authors[0].raw == "Zo\u00eb M\u00fcller"
 
     def test_builtin_entities_accepted(self):
         xml = b'<dblp><article key="a"><author>Ann &amp; Bob</author><year>1980</year></article></dblp>'

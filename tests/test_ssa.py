@@ -5,14 +5,21 @@ import random
 import pytest
 
 import namecohort as nc
+from namecohort import ssa
 from namecohort.ssa import (
-    SNAPSHOT_HEADER,
     SNAPSHOT_MAGIC,
     DuplicateEntryError,
     SnapshotFormatError,
     SsaFormatError,
 )
-from oracles import EXTRA_YEARS, SAMPLE_YEARS, oracle_p, random_counts
+from oracles import (
+    EXTRA_YEARS,
+    SAMPLE_YEARS,
+    oracle_p,
+    oracle_snapshot,
+    oracle_snapshot_rows,
+    random_counts,
+)
 
 
 def test_parse_year_file_attaches_year():
@@ -175,10 +182,42 @@ def test_year_file_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
 
 
 def test_snapshot_round_trip(tmp_path, fixture_table):
-    path = tmp_path / "table.csv"
+    path = tmp_path / "table.bin"
     nc.write_snapshot(fixture_table, path)
-    assert path.read_text().startswith(SNAPSHOT_MAGIC)
+    assert path.read_bytes().startswith(SNAPSHOT_MAGIC.encode() + b"\n")
     assert nc.read_snapshot(path) == fixture_table
+
+
+def table_counts(table):
+    """A table's {(name, year): (female, male)} read through its public columns."""
+    counts = {}
+    for name in table.names():
+        lo, hi = table.key_span(name)
+        for year, female, male in zip(table.years[lo:hi], table.females[lo:hi],
+                                      table.males[lo:hi]):
+            counts[(name, year)] = (female, male)
+    return counts
+
+
+def test_snapshot_bytes_follow_the_documented_layout(tmp_path, fixture_table):
+    rng = random.Random(11)
+    for i, table in enumerate([fixture_table, nc.build_table([])]
+                              + [nc.NameYearTable(random_counts(rng, 6)) for _ in range(5)]):
+        path = tmp_path / f"table{i}.bin"
+        nc.write_snapshot(table, path)
+        assert path.read_bytes() == oracle_snapshot(oracle_snapshot_rows(table_counts(table)))
+
+
+def test_snapshot_columns_are_little_endian_on_either_byte_order(tmp_path, fixture_table,
+                                                                  monkeypatch):
+    # A machine of the other byte order swaps each column on the way out and in.
+    path = tmp_path / "table.bin"
+    nc.write_snapshot(fixture_table, path)
+    monkeypatch.setattr(ssa, "_SWAP", True)
+    swapped = tmp_path / "swapped.bin"
+    nc.write_snapshot(fixture_table, swapped)
+    assert swapped.read_bytes() != path.read_bytes()
+    assert nc.read_snapshot(swapped) == fixture_table
 
 
 def test_snapshot_rejects_unversioned_file(tmp_path):
@@ -189,7 +228,7 @@ def test_snapshot_rejects_unversioned_file(tmp_path):
 
 
 def test_snapshot_of_empty_table_round_trips(tmp_path):
-    path = tmp_path / "empty.csv"
+    path = tmp_path / "empty.bin"
     empty = nc.build_table([])
     nc.write_snapshot(empty, path)
     assert nc.read_snapshot(path) == empty
@@ -204,25 +243,38 @@ def test_record_invariants_enforced():
         nc.NameCountRecord("", "F", 5, 1950)
 
 
-def test_snapshot_rejects_corrupt_numeric_cells(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\n"
-                    "ada,198x,1,2\n")
-    with pytest.raises(SnapshotFormatError, match="non-integer"):
-        nc.read_snapshot(path)
-
-
 def test_table_rejects_keys_that_normalize_alike():
     with pytest.raises(DuplicateEntryError) as excinfo:
         nc.NameYearTable({("Leslie", 1900): (1, 2), ("leslie", 1900): (3, 4)})
     assert excinfo.value.triple == ("leslie", None, 1900)
 
 
+@pytest.mark.parametrize("counts, fragment", [
+    ({("ada", 65536): (1, 2)}, "outside the table's range"),
+    ({("ada", -1): (1, 2)}, "outside the table's range"),
+    ({("ada", 1980): (2**32, 2)}, "outside the table's range"),
+    ({("a\nb", 1980): (1, 2)}, "empty or holds a line break"),
+    ({("", 1980): (1, 2)}, "empty or holds a line break"),
+], ids=["year-too-large", "negative-year", "count-too-large", "line-break", "empty-name"])
+def test_table_rejects_what_its_columns_cannot_hold(counts, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        nc.NameYearTable(counts)
+
+
+def test_largest_column_values_round_trip(tmp_path):
+    table = nc.NameYearTable({("ada", 0): (2**32 - 1, 0), ("ada", 65535): (0, 2**32 - 1)})
+    path = tmp_path / "table.bin"
+    nc.write_snapshot(table, path)
+    assert nc.read_snapshot(path) == table
+    assert table.counts("ada", 65535) == (0, 2**32 - 1)
+
+
 def test_snapshot_rejects_repeated_row_naming_its_line(tmp_path):
-    path = tmp_path / "dup.csv"
-    path.write_text(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\n"
-                    "ada,1980,1,2\nbob,1980,0,4\nada,1980,5,6\n")
-    with pytest.raises(DuplicateEntryError, match=r"dup\.csv:5: .*\(ada, 1980\)"):
+    # The snapshot has no lines; the error names the file and the entry.
+    path = tmp_path / "dup.bin"
+    path.write_bytes(oracle_snapshot([("ada", [(1980, 1, 2)]), ("ada", [(1980, 5, 6)]),
+                                      ("bob", [(1980, 0, 4)])]))
+    with pytest.raises(DuplicateEntryError, match=r"dup\.bin: .*\(ada, 1980\)"):
         nc.read_snapshot(path)
 
 
@@ -232,10 +284,11 @@ def test_snapshot_round_trip_preserves_every_lookup(tmp_path):
     years = SAMPLE_YEARS + EXTRA_YEARS + (1850, 1880, 2020, 2040)
     for i, counts in enumerate(cases):
         table = nc.NameYearTable(counts)
-        path = tmp_path / f"table{i}.csv"
+        path = tmp_path / f"table{i}.bin"
         nc.write_snapshot(table, path)
         loaded = nc.read_snapshot(path)
         assert loaded == table and len(loaded) == len(counts)
+        assert table_counts(loaded) == counts
         first_year = min((year for _, year in counts), default=None)
         names = sorted({name for name, _ in counts}) + ["absent"]
         for cap in range(31):
@@ -258,30 +311,73 @@ def test_snapshot_rejects_v1_file(tmp_path):
         nc.read_snapshot(path)
 
 
-@pytest.mark.parametrize("line, error, fragment", [
-    ("bob,1980 1981,1 2", SnapshotFormatError, "malformed snapshot row"),
-    ("bob,1980 198x,1 2,3 4", SnapshotFormatError, "non-integer snapshot cell"),
-    ("bob,,,", SnapshotFormatError, "row has no years"),
-    ("bob,1980 1981,1 2,3", SnapshotFormatError, "ragged row"),
-    ("bob,1981 1980,1 2,3 4", SnapshotFormatError, r"years out of order \(1981 before 1980\)"),
-    ("bob,1980 1980,1 2,3 4", DuplicateEntryError, r"\(bob, 1980\)"),
-    ("ada,1990,1,2", DuplicateEntryError, r"\(ada, 1990\)"),
-    ("ADA,1990,1,2", DuplicateEntryError, r"\(ada, 1990\)"),
-    ("bob,1980 1981,1 -2,3 4", SnapshotFormatError, r"negative count for \(bob, 1981\)"),
-    ("bob,1980 1981,1 0,3 0", SnapshotFormatError, r"empty entry for \(bob, 1981\)"),
-], ids=["field-count", "non-integer", "no-years", "ragged", "out-of-order",
-        "repeated-year", "repeated-name", "names-normalize-alike", "negative", "zero-entry"])
-def test_snapshot_rejects_corrupt_row_naming_its_line(tmp_path, line, error, fragment):
-    path = tmp_path / "bad.csv"
-    path.write_text(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\nada,1980,1,2\n{line}\n")
-    with pytest.raises(error, match=rf"bad\.csv:4: .*{fragment}"):
+def test_snapshot_rejects_v2_file(tmp_path):
+    path = tmp_path / "v2.csv"
+    path.write_text("# namecohort-table v2\nname,years,female_counts,male_counts\n"
+                    "ada,1980 1981,1 2,3 4\n")
+    with pytest.raises(SnapshotFormatError,
+                       match=r"unsupported table snapshot.*re-run `namecohort ingest`"):
         nc.read_snapshot(path)
 
 
+ADA = ("ada", [(1980, 1, 2)])
+
+
+@pytest.mark.parametrize("rows, header, error, fragment", [
+    ([ADA, ("bob", [])], {}, SnapshotFormatError, "name 'bob' has no years"),
+    ([ADA, ("bob", [(1980, 1, 3)])], {"offsets": [0, 1, 3]}, SnapshotFormatError,
+     "name offsets run 0-3, not over the 2 entries"),
+    ([ADA, ("bob", [(1981, 1, 3), (1980, 2, 4)])], {}, SnapshotFormatError,
+     r"years of 'bob' out of order \(1981 before 1980\)"),
+    ([ADA, ("bob", [(1980, 1, 3), (1980, 2, 4)])], {}, DuplicateEntryError, r"\(bob, 1980\)"),
+    ([ADA, ("ada", [(1990, 1, 2)])], {}, DuplicateEntryError, r"\(ada, 1990\)"),
+    ([("ADA", [(1990, 1, 2)]), ADA], {}, DuplicateEntryError, r"\(ada, 1990\)"),
+    ([ADA, ("bob", [(1980, 1, 3), (1981, 0, 0)])], {}, SnapshotFormatError,
+     r"empty entry for \(bob, 1981\)"),
+    ([("bob", [(1980, 1, 3)]), ADA], {}, SnapshotFormatError,
+     r"names out of order \('bob' before 'ada'\)"),
+    ([("Bob", [(1980, 1, 3)]), ADA], {}, SnapshotFormatError, "name 'Bob' is not normalized"),
+    ([("", [(1980, 1, 3)]), ADA], {}, SnapshotFormatError, "name 1 is empty"),
+    ([ADA, ("bob", [(1980, 1, 3)])], {"offsets": [1, 1, 2]}, SnapshotFormatError,
+     "name offsets run 1-2"),
+    ([ADA, ("bob", [(1980, 1, 3)])], {"n_names": 3, "offsets": [0, 1, 2, 2]},
+     SnapshotFormatError, "name block holds 2 names, header says 3"),
+    ([ADA, ("bob", [(1980, 1, 3)])], {"n_entries": 3}, SnapshotFormatError,
+     "but its header describes"),
+    ([ADA, ("bob", [(1980, 1, 3)])], {"n_entries": 2**63}, SnapshotFormatError,
+     "but its header describes"),
+    ([ADA, ("bob", [(1980, 1, 3)])], {"block_size": 2**64 - 1}, SnapshotFormatError,
+     "but its header describes"),
+    ([ADA, ("bob", [(1980, 1, 3)])], {"checksum": 0}, SnapshotFormatError,
+     "checksum mismatch"),
+], ids=["no-years", "ragged", "out-of-order", "repeated-year", "repeated-name",
+        "names-normalize-alike", "zero-entry", "names-out-of-order", "not-normalized",
+        "empty-name", "offsets", "name-count", "length", "huge-count", "huge-block",
+        "checksum"])
+def test_snapshot_rejects_corrupt_row_naming_its_line(tmp_path, rows, header, error, fragment):
+    # Each error names the file and the offending name or entry.
+    path = tmp_path / "bad.bin"
+    path.write_bytes(oracle_snapshot(rows, **header))
+    with pytest.raises(error, match=rf"bad\.bin: .*{fragment}"):
+        nc.read_snapshot(path)
+
+
+def test_truncated_snapshot_is_rejected(tmp_path, fixture_table):
+    path = tmp_path / "table.bin"
+    nc.write_snapshot(fixture_table, path)
+    data = path.read_bytes()
+    for size in (0, 10, len(SNAPSHOT_MAGIC) + 1, len(SNAPSHOT_MAGIC) + 20, len(data) // 2,
+                 len(data) - 1):
+        path.write_bytes(data[:size])
+        with pytest.raises(SnapshotFormatError, match=r"table\.bin: "):
+            nc.read_snapshot(path)
+
+
 def test_snapshot_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
-    path = tmp_path / "bad.csv"
-    rows = "".join(f"{name},1980,1,2\n" for name in VALID_NAMES)
-    path.write_bytes(f"{SNAPSHOT_MAGIC}\n{SNAPSHOT_HEADER}\n{rows}".encode()
-                     + b"b\xffb,1980,0,7\nzed,1980,0,5\n")
-    with pytest.raises(SnapshotFormatError, match=r"bad\.csv:3003: not UTF-8"):
+    path = tmp_path / "bad.bin"
+    rows = [(name, [(1980, 1, 2)]) for name in VALID_NAMES]
+    path.write_bytes(oracle_snapshot(rows + [(b"zz\xffz", [(1980, 0, 7)]),
+                                             ("zzz", [(1980, 0, 5)])]))
+    with pytest.raises(SnapshotFormatError,
+                       match=r"bad\.bin: name 3001 of the name block is not UTF-8"):
         nc.read_snapshot(path)

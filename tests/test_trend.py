@@ -258,11 +258,12 @@ def test_emit_series_sorts_rows_by_bin(fixture_table):
 
 
 def test_each_distinct_key_is_looked_up_once(fixture_table, monkeypatch):
-    # Every table lookup bisects one name's years once: count the bisects.
+    # Every table lookup bisects one name's span of the years column once:
+    # count the bisects.
     years = []
     bisect = model.bisect_left
-    monkeypatch.setattr(model, "bisect_left",
-                        lambda column, year: years.append(year) or bisect(column, year))
+    monkeypatch.setattr(model, "bisect_left", lambda column, year, *span:
+                        years.append(year) or bisect(column, year, *span))
     records = [rec(1990, "Mary A", "Mary B", ("Mary C", Gender.FEMALE), "J. Q.",
                    "Zzyzx D", rid="a"),
                rec(1990, "Mary E", "George F", ("Leslie G", Gender.MALE), rid="b"),
