@@ -13,10 +13,10 @@ import logging
 import re
 import xml.parsers.expat
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .model import Gender
-from .names import extract_first_name, first_name_extractor, normalize_full_name
+from .names import extract_first_name, first_name_extractor, full_name_normalizer
 
 __all__ = [
     "AuthorMention", "CorpusRecord", "CorpusParseResult", "CorpusFormatError",
@@ -101,6 +101,22 @@ class CorpusParseResult:
     problems: list[str] = field(default_factory=list)
 
 
+def _csv_rows(stream: IO[str] | Iterable[str],
+              header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each non-blank row after the header line. A
+    wrong header, or a row the csv module refuses (such as one with a cell
+    over its field size limit), raises CorpusFormatError naming its line."""
+    reader = csv.reader(stream)
+    try:
+        if next(reader, None) != header:
+            raise CorpusFormatError(f"expected header {','.join(header)!r}", 1)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise CorpusFormatError(str(exc), reader.line_num) from None
+
+
 def _check_csv_row(row: list[str], lineno: int,
                    first_name: Callable[[str], str | None]) -> CorpusRecord:
     if len(row) != 4:
@@ -127,20 +143,15 @@ def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True) -> Co
     pipe-separated author strings, order preserved.
 
     In strict mode the first bad row aborts with its line number; in lenient
-    mode bad rows are skipped and tallied in the result. Each distinct
-    given-name token is normalized once per call.
+    mode bad rows are skipped and tallied in the result; a row the csv
+    module refuses aborts in either mode. Each distinct given-name token is
+    normalized once per call.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or header != CSV_HEADER:
-        raise CorpusFormatError(f"expected header {','.join(CSV_HEADER)!r}", 1)
     result = CorpusParseResult()
     first_name = first_name_extractor()
-    for row in reader:
-        if not row:
-            continue
+    for lineno, row in _csv_rows(stream, CSV_HEADER):
         try:
-            result.records.append(_check_csv_row(row, reader.line_num, first_name))
+            result.records.append(_check_csv_row(row, lineno, first_name))
         except CorpusFormatError as exc:
             if strict:
                 raise
@@ -283,8 +294,8 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
     (booktitle or journal). Everything else is ignored.
 
     Besides the records returned, memory holds a single publication element
-    and one memo entry per distinct given-name token (each is normalized
-    once per call), regardless of file size. Publications missing a key, a
+    and one memo entry per distinct given-name token in this call (each is
+    normalized once), regardless of file size. Publications missing a key, a
     usable year, or any author are skipped and tallied; in strict mode the
     first of them raises DblpParseError with the byte offset of its start
     tag. Malformed XML raises DblpParseError with the byte offset. The input
@@ -354,6 +365,10 @@ class OverrideEntry:
     source_note: str = ""
 
     def __post_init__(self):
+        if not self.key:  # it would match every honorific-only author
+            raise ValueError("override with an empty key")
+        if not self.source_note.strip():
+            raise ValueError(f"override for {self.key!r} lacks a source note")
         if (self.year_from is not None and self.year_to is not None
                 and self.year_from > self.year_to):
             raise ValueError(f"override for {self.key!r} has year_from {self.year_from} "
@@ -373,21 +388,24 @@ class OverrideLedger:
     """An ordered set of override entries with unique (key, scope) tuples."""
 
     def __init__(self, entries: Iterable[OverrideEntry]):
-        self._entries = tuple(entries)
+        self._entries: list[OverrideEntry] = []
         self._by_key: dict[str, list[OverrideEntry]] = {}
-        seen = set()
-        for entry in self._entries:
-            if not entry.source_note.strip():
-                raise ValueError(f"override for {entry.key!r} lacks a source note")
-            scope = (entry.key, entry.year_from, entry.year_to, entry.venue)
-            if scope in seen:
-                raise ValueError(f"duplicate override key/scope {scope}")
-            seen.add(scope)
-            self._by_key.setdefault(entry.key, []).append(entry)
+        self._scopes: set[tuple] = set()
+        for entry in entries:
+            self._add(entry)
+
+    def _add(self, entry: OverrideEntry) -> None:
+        """Append an entry; a repeated (key, scope) raises ValueError."""
+        scope = (entry.key, entry.year_from, entry.year_to, entry.venue)
+        if scope in self._scopes:
+            raise ValueError(f"duplicate override key/scope {scope}")
+        self._scopes.add(scope)
+        self._entries.append(entry)
+        self._by_key.setdefault(entry.key, []).append(entry)
 
     @property
     def entries(self) -> tuple[OverrideEntry, ...]:
-        return self._entries
+        return tuple(self._entries)
 
     def match(self, full_name_key: str, venue: str, year: int) -> OverrideEntry | None:
         """First entry (in ledger order) matching the key within scope."""
@@ -404,28 +422,21 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
     """Parse the override CSV: key,gender,year_from,year_to,venue,source_note.
 
     Empty scope cells mean unscoped; gender must be F, M, or U; a year scope
-    needs year_from <= year_to; every entry must carry a source note. Keys
-    are normalized on load.
+    needs year_from <= year_to; every entry must carry a source note; keys,
+    normalized on load, may not be empty or repeat within one scope. Each
+    error is a CorpusFormatError naming its line.
     """
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or header != LEDGER_HEADER:
-        raise CorpusFormatError(f"expected header {','.join(LEDGER_HEADER)!r}", 1)
-    entries = []
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num
+    full_name = full_name_normalizer()
+    ledger = OverrideLedger(())
+    for lineno, row in _csv_rows(stream, LEDGER_HEADER):
         if len(row) != 6:
             raise CorpusFormatError(f"expected 6 columns, got {len(row)}", lineno)
         key, raw_gender, year_from, year_to, venue, note = row
         if raw_gender not in ("F", "M", "U"):
             raise CorpusFormatError(f"invalid gender {raw_gender!r}", lineno)
-        if not note.strip():
-            raise CorpusFormatError(f"override for {key!r} lacks a source note", lineno)
         try:
-            entries.append(OverrideEntry(
-                key=normalize_full_name(key),
+            ledger._add(OverrideEntry(
+                key=full_name(key),
                 gender=Gender(raw_gender),
                 year_from=int(year_from) if year_from.strip() else None,
                 year_to=int(year_to) if year_to.strip() else None,
@@ -433,10 +444,8 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
                 source_note=note.strip(),
             ))
         except ValueError as exc:
-            if isinstance(exc, CorpusFormatError):
-                raise
             raise CorpusFormatError(str(exc), lineno) from None
-    return OverrideLedger(entries)
+    return ledger
 
 
 def apply_overrides(records: Sequence[CorpusRecord],
@@ -446,23 +455,21 @@ def apply_overrides(records: Sequence[CorpusRecord],
     A mention matches when its normalized full name equals a ledger key and
     the record falls inside the entry's venue/year scope. Ledger entries
     that never matched anything are reported as warnings, since a stale key
-    usually means a normalization mismatch.
+    usually means a normalization mismatch. Each distinct name token is
+    folded once per call.
     """
+    full_name = full_name_normalizer()
     used: set[OverrideEntry] = set()
     out = []
     for record in records:
-        new_authors = []
-        changed = False
-        for mention in record.authors:
-            entry = ledger.match(normalize_full_name(mention.raw),
-                                 record.venue, record.publication_year)
-            if entry is not None:
-                used.add(entry)
-                new_authors.append(replace(mention, override_gender=entry.gender))
-                changed = True
-            else:
-                new_authors.append(mention)
-        out.append(replace(record, authors=tuple(new_authors)) if changed else record)
+        matches = [ledger.match(full_name(mention.raw), record.venue, record.publication_year)
+                   for mention in record.authors]
+        if any(entry is not None for entry in matches):
+            used.update(entry for entry in matches if entry is not None)
+            record = replace(record, authors=tuple(
+                mention if entry is None else replace(mention, override_gender=entry.gender)
+                for mention, entry in zip(record.authors, matches)))
+        out.append(record)
     for entry in ledger.entries:
         if entry not in used:
             logger.warning("override entry never matched: %r (scope venue=%r years=%s-%s)",

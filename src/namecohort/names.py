@@ -35,7 +35,6 @@ _HONORIFICS = {"mr", "mrs", "miss", "prof", "dr"}
 _INITIAL_RE = re.compile(r"^([a-z]\.)*[a-z]\.?$")
 
 _PUNCT_RE = re.compile(r"[.,;:()\[\]{}\"']+")
-_WS_RE = re.compile(r"\s+")
 
 
 def strip_diacritics(text: str) -> str:
@@ -51,29 +50,16 @@ def normalize_name(name: str) -> str:
     return strip_diacritics(name).strip().lower()
 
 
-def _flip_comma_form(raw: str) -> str:
-    """Turn "Surname, Given[, suffix]" into "Given Surname"; suffixes drop."""
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) >= 2 and parts[0] and parts[1]:
-        return f"{parts[1]} {parts[0]}"
-    return raw.replace(",", " ")
-
-
-def _drop_honorifics(tokens: list[str]) -> list[str]:
-    while tokens and tokens[0].rstrip(".").lower() in _HONORIFICS:
-        tokens = tokens[1:]
-    return tokens
-
-
-def _given_token(raw: str) -> str | None:
-    """The raw given-name token: the first token after any "Surname, Given"
-    flip and honorific stripping, or None when nothing survives."""
+def _author_tokens(raw: str) -> list[str]:
+    """An author string's tokens, given name first: "Surname, Given[, suffix]"
+    flips and its suffix drops, other commas split, leading honorifics drop."""
     if "," in raw:
-        raw = _flip_comma_form(raw)
-    for token in raw.split():
-        if token.rstrip(".").lower() not in _HONORIFICS:
-            return token
-    return None
+        parts = [part.strip() for part in raw.split(",")]
+        raw = f"{parts[1]} {parts[0]}" if parts[0] and parts[1] else " ".join(parts)
+    tokens = raw.split()
+    while tokens and tokens[0].rstrip(".").lower() in _HONORIFICS:
+        del tokens[0]
+    return tokens
 
 
 def _first_name(token: str) -> str | None:
@@ -84,40 +70,43 @@ def _first_name(token: str) -> str | None:
     return first.strip(".,;:") or None
 
 
-def extract_first_name(raw: str) -> str | None:
+def _key_part(token: str) -> str:
+    """A token's part of the full-name key: folded, lowercased, punctuation
+    turned into spaces, whitespace collapsed."""
+    return " ".join(_PUNCT_RE.sub(" ", strip_diacritics(token).lower()).split())
+
+
+def extract_first_name(raw: str, first_name: Callable[[str], str | None] = _first_name
+                       ) -> str | None:
     """Extract the normalized given name from a raw author string.
 
     Returns None when the given name is initial-only (a bare letter or a
     run of single letters such as "R.C."), or when nothing survives
     honorific stripping. "Surname, Given" order is detected via the comma
-    and flipped; hyphenated given names are kept whole.
+    and flipped; hyphenated given names are kept whole. first_name
+    normalizes the given-name token (memoized by first_name_extractor).
     """
-    token = _given_token(raw)
-    return None if token is None else _first_name(token)
+    tokens = _author_tokens(raw)
+    return first_name(tokens[0]) if tokens else None
 
 
-def first_name_extractor() -> Callable[[str], str | None]:
-    """:func:`extract_first_name` for one parse: it normalizes each distinct
-    given-name token once, however many author strings carry it."""
-    first_name = functools.cache(_first_name)
-
-    def extract(raw: str) -> str | None:
-        token = _given_token(raw)
-        return None if token is None else first_name(token)
-
-    return extract
-
-
-def normalize_full_name(raw: str) -> str:
+def normalize_full_name(raw: str, key_part: Callable[[str], str] = _key_part) -> str:
     """Canonical full-name key: given-name-first, folded, punctuation-free.
 
     Used for dedup and for matching qualitative override entries, so that
-    "Bartik, Jean", "Jean  Bartik " and "jean bartik" all collide.
+    "Bartik, Jean", "Jean  Bartik " and "jean bartik" all collide. It joins
+    the non-empty key_part of each token (memoized by full_name_normalizer).
     """
-    text = raw.strip()
-    if "," in text:
-        text = _flip_comma_form(text)
-    tokens = _drop_honorifics(text.split())
-    folded = strip_diacritics(" ".join(tokens)).lower()
-    folded = _PUNCT_RE.sub(" ", folded)
-    return _WS_RE.sub(" ", folded).strip()
+    return " ".join(filter(None, map(key_part, _author_tokens(raw))))
+
+
+def first_name_extractor() -> Callable[[str], str | None]:
+    """:func:`extract_first_name` for one pass: each distinct token is normalized once."""
+    first_name = functools.cache(_first_name)
+    return lambda raw: extract_first_name(raw, first_name)
+
+
+def full_name_normalizer() -> Callable[[str], str]:
+    """:func:`normalize_full_name` for one pass: each distinct token is folded once."""
+    key_part = functools.cache(_key_part)
+    return lambda raw: normalize_full_name(raw, key_part)

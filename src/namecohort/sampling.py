@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-from .names import normalize_full_name
+from .names import full_name_normalizer
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,9 +86,7 @@ def dedup_authors(mentions: Iterable[str]) -> list[str]:
     whitespace collapse, diacritic strip, honorific drop); distinct people
     sharing one name string still collapse to one entry.
     """
-    unique = {normalize_full_name(mention) for mention in mentions}
-    unique.discard("")
-    return sorted(unique)
+    return sorted(set(map(full_name_normalizer(), mentions)) - {""})
 
 
 def tier_recommendation(population_size: int) -> TierRecommendation:

@@ -237,8 +237,9 @@ def _rows(stream: IO[str] | Iterable[str], path: str | None,
     """(line number, normalized name, sex, count) for each row of a year file.
 
     Raises SsaFormatError on the first malformed line (wrong field count,
-    sex outside {F, M}, non-integer or zero count, empty name, or, when the
-    path is given, bytes that are not UTF-8). Blank lines are skipped.
+    sex outside {F, M}, a count that is not ASCII digits, is zero or has more
+    digits than int() converts, empty name, or, when the path is given, bytes
+    that are not UTF-8). Blank lines are skipped.
     """
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -252,9 +253,12 @@ def _rows(stream: IO[str] | Iterable[str], path: str | None,
             raw_name, sex, raw_count = fields
             if sex != "F" and sex != "M":
                 raise SsaFormatError(f"invalid sex code {sex!r}", lineno, path)
-            if not raw_count.isdecimal():
+            if not (raw_count.isascii() and raw_count.isdecimal()):
                 raise SsaFormatError(f"invalid count {raw_count!r}", lineno, path)
-            count = int(raw_count)
+            try:
+                count = int(raw_count)
+            except ValueError:  # more digits than int() converts
+                raise SsaFormatError("invalid count: too many digits", lineno, path) from None
             if count < 1:
                 raise SsaFormatError("count must be >= 1", lineno, path)
             name = normalize(raw_name)

@@ -5,13 +5,17 @@ exhaustive scans, independent of the library's table and search code, so
 agreement is meaningful. Trend oracles take the corpus as plain tuples:
 [(venue, publication_year, [(first_name or None, "F"/"M"/"U" or None), ...])].
 The snapshot oracle packs the v3 table snapshot byte by byte with struct.
+The name-key oracles normalize an author string as a whole and match an
+override ledger by scanning every entry for every mention.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 import struct
+import unicodedata
 import zlib
 from fractions import Fraction
 
@@ -254,3 +258,63 @@ def oracle_snapshot_rows(counts: dict) -> list:
     for (name, year), (female, male) in sorted(counts.items()):
         by_name.setdefault(name, []).append((year, female, male))
     return list(by_name.items())
+
+
+_FOLD = str.maketrans({"ø": "o", "Ø": "O", "ł": "l", "Ł": "L", "đ": "d", "Đ": "D",
+                       "ð": "d", "Ð": "D", "þ": "th", "Þ": "Th", "ß": "ss",
+                       "æ": "ae", "Æ": "Ae", "œ": "oe", "Œ": "Oe"})
+_KEY_PUNCT = re.compile(r"[.,;:()\[\]{}\"']+")
+
+
+def oracle_normalize_full_name(raw: str) -> str:
+    """The full-name key, built from the whole string at once: flip
+    "Surname, Given[, suffix]", drop leading honorifics, then fold
+    diacritics, lowercase, turn punctuation into spaces and collapse
+    whitespace over the joined text."""
+    text = raw.strip()
+    if "," in text:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) >= 2 and parts[0] and parts[1]:
+            text = f"{parts[1]} {parts[0]}"
+        else:
+            text = text.replace(",", " ")
+    tokens = text.split()
+    while tokens and tokens[0].rstrip(".").lower() in {"mr", "mrs", "miss", "prof", "dr"}:
+        tokens = tokens[1:]
+    decomposed = unicodedata.normalize("NFKD", " ".join(tokens).translate(_FOLD))
+    folded = "".join(ch for ch in decomposed if not unicodedata.combining(ch)).lower()
+    return re.sub(r"\s+", " ", _KEY_PUNCT.sub(" ", folded)).strip()
+
+
+def oracle_apply_overrides(corpus: list, ledger: list) -> tuple[list, list]:
+    """Stamp overrides by brute force.
+
+    corpus is [(venue, year, [raw author, ...])] and ledger is
+    [(raw key, "F"/"M"/"U", year_from or None, year_to or None, venue or None)]
+    in ledger order. Each mention takes the first entry whose key matches its
+    full-name key and whose scope holds the record (venues compared without
+    case). Returns the corpus as [(venue, year, [(raw, gender or None), ...])]
+    and the (key, venue, year_from, year_to) of every entry that matched
+    nothing, in ledger order.
+    """
+    keyed = [(oracle_normalize_full_name(key), *rest) for key, *rest in ledger]
+    used = set()
+    out = []
+    for venue, year, raws in corpus:
+        mentions = []
+        for raw in raws:
+            gender = None
+            for i, (key, sex, year_from, year_to, scope) in enumerate(keyed):
+                if (key == oracle_normalize_full_name(raw)
+                        and (year_from is None or year >= year_from)
+                        and (year_to is None or year <= year_to)
+                        and (scope is None or scope.lower() == venue.lower())):
+                    used.add(i)
+                    gender = sex
+                    break
+            mentions.append((raw, gender))
+        out.append((venue, year, mentions))
+    unmatched = [(key, scope, year_from, year_to)
+                 for i, (key, _, year_from, year_to, scope) in enumerate(keyed)
+                 if i not in used]
+    return out, unmatched

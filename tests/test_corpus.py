@@ -157,6 +157,15 @@ class TestCorpusCsv:
         [record] = nc.parse_corpus_csv(stream).records
         assert [m.raw for m in record.authors] == ["Zoe A", "Amy B", "Mia C"]
 
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_oversized_field_raises_format_error_naming_its_line(self, strict):
+        stream = io.StringIO("record_id,venue,year,authors\n"
+                             "a1,X,1980,Ann B\n"
+                             f"a2,X,1980,{'A' * 200_000} B\n")
+        with pytest.raises(CorpusFormatError, match="line 3: .*field larger") as excinfo:
+            nc.parse_corpus_csv(stream, strict=strict)
+        assert excinfo.value.lineno == 3
+
 
 DBLP_DUMP_HEADER = (b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
                     b'<!DOCTYPE dblp SYSTEM "dblp.dtd">\n')
@@ -321,6 +330,32 @@ class TestOverrides:
                 "x y,F,1970,1980,,note\n"
                 "x y,M,1990,1985,,note\n"))
         assert excinfo.value.lineno == 3
+
+    def test_ledger_oversized_field_raises_format_error_naming_its_line(self):
+        stream = io.StringIO("key,gender,year_from,year_to,venue,source_note\n"
+                             "x y,F,,,,note\n"
+                             f"x z,F,,,,{'n' * 200_000}\n")
+        with pytest.raises(CorpusFormatError, match="line 3: .*field larger") as excinfo:
+            nc.read_override_ledger(stream)
+        assert excinfo.value.lineno == 3
+
+    @pytest.mark.parametrize("key", ["", "  ", "Prof.", ",", "Dr. Mrs.", "..."])
+    def test_ledger_rejects_key_that_normalizes_to_nothing(self, key):
+        with pytest.raises(CorpusFormatError, match="line 3: .*empty key") as excinfo:
+            nc.read_override_ledger(io.StringIO(
+                "key,gender,year_from,year_to,venue,source_note\n"
+                "x y,F,,,,note\n"
+                f'"{key}",F,,,,note\n'))
+        assert excinfo.value.lineno == 3
+
+    def test_ledger_file_rejects_duplicate_scoped_key_naming_its_line(self):
+        with pytest.raises(CorpusFormatError, match="line 4: duplicate") as excinfo:
+            nc.read_override_ledger(io.StringIO(
+                "key,gender,year_from,year_to,venue,source_note\n"
+                "x y,F,,,,note\n"
+                "x y,F,1970,,,note\n"
+                "X  Y,M,,,,other note\n"))
+        assert excinfo.value.lineno == 4
 
     def test_ledger_rejects_duplicate_scoped_key(self):
         entries = [

@@ -50,6 +50,15 @@ def test_parse_year_file_rejects_malformed_lines(line, fragment):
     assert fragment in str(excinfo.value)
 
 
+@pytest.mark.parametrize("count", ["1" * 5000, "\uff15", "1\u0661"],
+                         ids=["5000-digits", "fullwidth-5", "arabic-indic-1"])
+def test_count_that_is_not_plain_ascii_digits_or_too_long_names_path_and_line(tmp_path, count):
+    (tmp_path / "yob1980.txt").write_text(f"Ada,F,100\nBea,F,{count}\n", encoding="utf-8")
+    with pytest.raises(SsaFormatError, match=r"yob1980\.txt:2: invalid count") as excinfo:
+        nc.load_directory(tmp_path)
+    assert excinfo.value.lineno == 2
+
+
 def test_parse_error_reports_correct_line_number():
     stream = io.StringIO("Mary,F,10\nJohn,M,20\nBad,Q,5\n")
     with pytest.raises(SsaFormatError) as excinfo:
