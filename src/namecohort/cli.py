@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from . import __version__, model, shifts, ssa
-from .names import normalize_name
+from .names import csv_text, normalize_name
 
 if TYPE_CHECKING:
     from . import corpus
@@ -142,10 +142,8 @@ def cmd_pf(args: argparse.Namespace) -> int:
 
 
 def _shift_records_csv(records: list[shifts.ShiftRecord]) -> bytes:
-    lines = ["name,p_start,p_end,delta,weight"]
-    lines += [f"{r.name},{r.p_start!r},{r.p_end!r},{r.delta!r},{r.weight!r}"
-              for r in records]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    rows = [(r.name, r.p_start, r.p_end, r.delta, r.weight) for r in records]
+    return csv_text([("name", "p_start", "p_end", "delta", "weight"), *rows]).encode("utf-8")
 
 
 def cmd_shifts(args: argparse.Namespace) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .model import Gender
-from .names import extract_first_name, first_name_extractor, full_name_normalizer
+from .names import csv_text, extract_first_name, first_name_extractor, full_name_normalizer
+from .ssa import _undecodable_line
 
 __all__ = [
     "AuthorMention", "CorpusRecord", "CorpusParseResult", "CorpusFormatError",
@@ -104,8 +105,9 @@ class CorpusParseResult:
 def _csv_rows(stream: IO[str] | Iterable[str],
               header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) for each non-blank row after the header line. A
-    wrong header, or a row the csv module refuses (such as one with a cell
-    over its field size limit), raises CorpusFormatError naming its line."""
+    wrong header, a row the csv module refuses (such as one with a cell over
+    its field size limit), or bytes that are not UTF-8 in a stream opened
+    from a named file raise CorpusFormatError naming the line."""
     reader = csv.reader(stream)
     try:
         if next(reader, None) != header:
@@ -115,6 +117,11 @@ def _csv_rows(stream: IO[str] | Iterable[str],
                 yield reader.line_num, row
     except csv.Error as exc:
         raise CorpusFormatError(str(exc), reader.line_num) from None
+    except UnicodeDecodeError as exc:
+        path = getattr(stream, "name", None)
+        if not isinstance(path, str):
+            raise
+        raise CorpusFormatError(f"not UTF-8 ({exc.reason})", _undecodable_line(path)) from None
 
 
 def _check_csv_row(row: list[str], lineno: int,
@@ -161,16 +168,11 @@ def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True) -> Co
 
 
 def serialize_corpus_csv(records: Sequence[CorpusRecord]) -> str:
-    """Render records back to the corpus CSV format (raw author strings kept)."""
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for record in records:
-        writer.writerow([record.record_id, record.venue, record.publication_year,
-                         "|".join(m.raw for m in record.authors)])
-    return buffer.getvalue()
+    """Render records back to the corpus CSV format (raw author strings kept),
+    with cells quoted as :func:`names.csv_text` quotes them."""
+    return csv_text([CSV_HEADER, *([record.record_id, record.venue, record.publication_year,
+                                    "|".join(m.raw for m in record.authors)]
+                                   for record in records)])
 
 
 _PUBLICATION_TAGS = frozenset({"article", "inproceedings"})
@@ -304,8 +306,10 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
     a byte stream is decoded by the declared encoding (a text stream is
     already decoded), and when the DOCTYPE names an external DTD, which is
     never fetched, a named entity it would declare, such as ``&uuml;``, is
-    resolved as the HTML entity of that name. Entity declarations, and
-    other entities beyond the XML built-ins, raise DblpParseError.
+    resolved as the HTML entity of that name. Entity declarations, other
+    entities beyond the XML built-ins, and a declared encoding that Python
+    does not know or cannot decode byte by byte (such as big5) raise
+    DblpParseError.
     """
     result = CorpusParseResult()
     head = stream.read(_CHUNK_SIZE)
@@ -348,6 +352,13 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
         parser.Parse(_STREAM_WRAPPER_CLOSE, True)
     except xml.parsers.expat.ExpatError as exc:
         raise DblpParseError(xml.parsers.expat.errors.messages[exc.code],
+                             input_offset(parser.ErrorByteIndex)) from None
+    except DblpParseError:
+        raise
+    except (LookupError, ValueError) as exc:
+        # Raised, UnicodeError among them, when the declared encoding is
+        # one that Python's codecs cannot give expat as a one-byte table.
+        raise DblpParseError(f"unusable encoding ({exc})",
                              input_offset(parser.ErrorByteIndex)) from None
     return result
 

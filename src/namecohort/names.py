@@ -3,7 +3,8 @@
 All gender lookups key on the normalized form produced here: diacritics are
 folded to their nearest ASCII letter (the birth-registration corpus is ASCII),
 case is dropped, and honorifics are stripped. Raw author strings are never
-mutated by callers; normalization happens at comparison time.
+mutated by callers; normalization happens at comparison time. Every CSV the
+package writes, whose cells hold names, is written by :func:`csv_text`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from typing import Callable
+from typing import Callable, Iterable
 
 # Letters that do not decompose under NFKD; mapped to their conventional
 # basic-letter transliterations.
@@ -110,3 +111,21 @@ def full_name_normalizer() -> Callable[[str], str]:
     """:func:`normalize_full_name` for one pass: each distinct token is folded once."""
     key_part = functools.cache(_key_part)
     return lambda raw: normalize_full_name(raw, key_part)
+
+
+_QUOTED = frozenset(',"\n\r')
+
+
+def _csv_cell(value: object) -> str:
+    text = "" if value is None else str(value)
+    if _QUOTED.intersection(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """Rows as CSV text, each ending in a newline. A cell is empty for None
+    and str() of anything else (a float's round-trip repr); it is quoted,
+    with its double quotes doubled, only when it holds a comma, a double
+    quote, a newline or a carriage return."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)

@@ -9,9 +9,8 @@ aggregate a birth-weighted net shift for a set of names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .model import DEFAULT_MAX_FALLBACK, lookup, p_female
+from .model import DEFAULT_MAX_FALLBACK, lookup
 from .names import normalize_name
 from .ssa import NameYearTable
 
@@ -64,46 +63,24 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     endpoints, which avoids favoring either endpoint when ranking by size.
     Raises EndpointMissingError naming the year that had no data.
     """
-    def at(year: int) -> tuple[float | None, int]:
-        estimate = p_female(table, name, year, max_fallback_distance)
-        return estimate.p_female, estimate.total
-
-    return _shift(name, normalize_name(name), at, y1, y2)
+    return _shift(table, name, normalize_name(name), y1, y2, max_fallback_distance)
 
 
-def _shift(name: str, key: str, at: Callable[[int], tuple[float | None, int]],
-           y1: int, y2: int) -> ShiftRecord:
-    """:func:`gender_shift` of the name whose normalized key is given, with
-    at(year) as its (p(F) or None, total births used) at a year."""
+def _shift(table: NameYearTable, name: str, key: str, y1: int, y2: int,
+           max_fallback_distance: int) -> ShiftRecord:
+    """:func:`gender_shift` of the name whose normalized key is given: the
+    key's span is fetched once and read at both years."""
     if y1 >= y2:
         raise ValueError("require y1 < y2")
-    p_start, start_total = at(y1)
+    span = table.key_span(key)
+    p_start, start_female, start_male, _, _ = lookup(table, span, y1, max_fallback_distance)
     if p_start is None:
         raise EndpointMissingError(name, y1)
-    p_end, end_total = at(y2)
+    p_end, end_female, end_male, _, _ = lookup(table, span, y2, max_fallback_distance)
     if p_end is None:
         raise EndpointMissingError(name, y2)
-    return ShiftRecord(
-        name=key,
-        p_start=p_start,
-        p_end=p_end,
-        delta=p_end - p_start,
-        weight=(start_total + end_total) / 2,
-    )
-
-
-def _sample_profile(table: NameYearTable, span: tuple[int, int], config: InstabilityConfig,
-                    max_fallback_distance: int) -> tuple[list[float], int]:
-    """Known p(F) values of one name's span of table at the sample years, plus
-    total births used."""
-    ps = []
-    births = 0
-    for year in config.sample_years:
-        p, female, male, _, _ = lookup(table, span, year, max_fallback_distance)
-        if p is not None:
-            ps.append(p)
-            births += female + male
-    return ps, births
+    return ShiftRecord(name=key, p_start=p_start, p_end=p_end, delta=p_end - p_start,
+                       weight=(start_female + start_male + end_female + end_male) / 2)
 
 
 def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityConfig(),
@@ -117,8 +94,14 @@ def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityC
     """
     qualifying = []
     for name in table.names():
-        ps, births = _sample_profile(table, table.key_span(name), config,
-                                     max_fallback_distance)
+        span = table.key_span(name)
+        ps = []
+        births = 0
+        for year in config.sample_years:
+            p, female, male, _, _ = lookup(table, span, year, max_fallback_distance)
+            if p is not None:
+                ps.append(p)
+                births += female + male
         if len(ps) < 2 or births < config.min_total_births:
             continue
         p_range = max(ps) - min(ps)
@@ -141,14 +124,8 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
         raise ValueError("k must be >= 1")
     records = []
     for name in table.names():
-        span = table.key_span(name)
-
-        def at(year: int) -> tuple[float | None, int]:
-            p, female, male, _, _ = lookup(table, span, year, max_fallback_distance)
-            return p, female + male
-
         try:
-            records.append(_shift(name, name, at, y1, y2))
+            records.append(_shift(table, name, name, y1, y2, max_fallback_distance))
         except EndpointMissingError:
             continue
     if weighted:

@@ -86,6 +86,7 @@ _YEAR = "H"
 _U32 = "I" if array("I").itemsize == 4 else "L"
 if array(_YEAR).itemsize != 2 or array(_U32).itemsize != 4:
     raise ImportError("namecohort needs 2-byte 'H' and 4-byte unsigned array types")
+_MAX_COUNT = 2**32 - 1
 _NO_SPAN = (0, 0)
 # The builders' merge state: {name: {year: count}} for females, then males.
 _Slots = tuple[dict[str, dict[int, int]], dict[str, dict[int, int]]]
@@ -216,7 +217,7 @@ def _grouped(slots: _Slots) -> _Columns:
             male_column.extend(map(male.get, name_years, repeat(0)))
         except OverflowError:
             raise ValueError(f"a year or count of {name!r} is outside the table's range "
-                             f"(years 0-{2**16 - 1}, counts 0-{2**32 - 1})") from None
+                             f"(years 0-{2**16 - 1}, counts 0-{_MAX_COUNT})") from None
         offsets.append(len(years))
     return names, offsets, years, female_column, male_column
 
@@ -237,9 +238,9 @@ def _rows(stream: IO[str] | Iterable[str], path: str | None,
     """(line number, normalized name, sex, count) for each row of a year file.
 
     Raises SsaFormatError on the first malformed line (wrong field count,
-    sex outside {F, M}, a count that is not ASCII digits, is zero or has more
-    digits than int() converts, empty name, or, when the path is given, bytes
-    that are not UTF-8). Blank lines are skipped.
+    sex outside {F, M}, a count that is not ASCII digits, has more digits
+    than int() converts or lies outside 1-_MAX_COUNT, empty name, or, when
+    the path is given, bytes that are not UTF-8). Blank lines are skipped.
     """
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -259,8 +260,9 @@ def _rows(stream: IO[str] | Iterable[str], path: str | None,
                 count = int(raw_count)
             except ValueError:  # more digits than int() converts
                 raise SsaFormatError("invalid count: too many digits", lineno, path) from None
-            if count < 1:
-                raise SsaFormatError("count must be >= 1", lineno, path)
+            if not 0 < count <= _MAX_COUNT:
+                raise SsaFormatError(f"invalid count: count must be >= 1 and <= {_MAX_COUNT}",
+                                     lineno, path)
             name = normalize(raw_name)
             if not name:
                 raise SsaFormatError("empty name", lineno, path)
@@ -300,9 +302,10 @@ def parse_year_file(stream: IO[str] | Iterable[str], year: int,
     """Parse one year file into records, attaching the given year.
 
     Raises SsaFormatError on the first malformed line (wrong field count,
-    sex outside {F, M}, non-integer or zero count, empty name, or, when the
-    stream was opened from path, bytes that are not UTF-8). An empty stream
-    yields an empty list.
+    sex outside {F, M}, a count that is not an integer or lies outside the
+    count column's range 1-4294967295, empty name, or, when the stream was
+    opened from path, bytes that are not UTF-8). An empty stream yields an
+    empty list.
     """
     return [NameCountRecord(name, sex, count, year)
             for _, name, sex, count in _rows(stream, path, normalize_name)]

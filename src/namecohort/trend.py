@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 from .corpus import CorpusRecord
 from .model import Gender, ModelConfig, Thresholds, classify, cohort_lookup, lookup
+from .names import csv_text
 from .ssa import NameYearTable
 
 __all__ = [
@@ -241,26 +242,12 @@ def _field(row: TrendPoint | BiasPoint, column: str) -> object:
     return value.value if isinstance(value, Estimator) else value
 
 
-_QUOTED = frozenset(',"\n\r')
-
-
-def _csv_cell(value: object) -> str:
-    """A CSV cell: empty for None, a float's round-trip repr, and quoted with
-    its double quotes doubled when it holds a comma, a double quote, a
-    newline or a carriage return."""
-    text = "" if value is None else str(value)
-    if _QUOTED.intersection(text):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> bytes:
     """Serialize a trend series or bias report deterministically.
 
     Rows are sorted by bin label; CSV carries one row per bin (bias-report
-    summary statistics appear only in the JSON form). A CSV cell is empty
-    for None and holds a float's round-trip repr; only a cell that holds a
-    comma, a double quote, a newline or a carriage return is quoted.
+    summary statistics appear only in the JSON form). CSV cells follow
+    :func:`names.csv_text`.
     """
     if isinstance(obj, BiasReport):
         columns, points = _BIAS_COLUMNS, sorted(obj.points, key=lambda p: p.bin)
@@ -268,8 +255,7 @@ def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> byt
         columns, points = _POINT_COLUMNS, sorted(obj, key=lambda p: str(p.bin))
     rows = [[_field(point, column) for column in columns] for point in points]
     if fmt == "csv":
-        lines = [",".join(map(_csv_cell, row)) for row in [columns, *rows]]
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return csv_text([columns, *rows]).encode("utf-8")
     if fmt == "json":
         payload: object = [dict(zip(columns, row)) for row in rows]
         if isinstance(obj, BiasReport):

@@ -119,6 +119,19 @@ class TestShifts:
         assert code == 0
         assert names == nc.find_unstable(fixture_table)
 
+    def test_table_name_holding_a_quote_is_one_quoted_cell(self, capsys, tmp_path):
+        (tmp_path / "yob1925.txt").write_text('"Ann,F,50\n"Ann,M,50\n')
+        (tmp_path / "yob1975.txt").write_text('"Ann,F,90\n"Ann,M,10\n')
+        table = tmp_path / "table.bin"
+        assert run(capsys, "ingest", str(tmp_path), "--out", str(table))[0] == 0
+        code, stdout, _ = run(capsys, "shifts", "--table", str(table), "--from", "1925",
+                              "--to", "1975", "--top", "3")
+        assert code == 0
+        assert stdout.splitlines()[1] == '"""ann",0.5,0.9,0.4,100.0'
+        rows = list(csv.reader(io.StringIO(stdout)))
+        assert rows == [["name", "p_start", "p_end", "delta", "weight"],
+                        ['"ann', "0.5", "0.9", "0.4", "100.0"]]
+
     def test_net_mode(self, capsys):
         code, stdout, _ = run(capsys, "shifts", "--from", "1925", "--to", "1975",
                               "--unstable", "--net")
@@ -128,8 +141,8 @@ class TestShifts:
 
     def test_net_mode_reuses_the_shift_records(self, capsys, monkeypatch):
         calls = []
-        lookup = shifts.p_female
-        monkeypatch.setattr(shifts, "p_female", lambda *a: calls.append(a) or lookup(*a))
+        lookup = shifts.lookup
+        monkeypatch.setattr(shifts, "lookup", lambda *a: calls.append(a) or lookup(*a))
         argv = ("shifts", "--from", "1925", "--to", "1975", "--unstable")
         assert run(capsys, *argv)[0] == 0
         rows_calls = len(calls)
@@ -280,6 +293,20 @@ class TestAnalyze:
         code, _, stderr = run(capsys, "analyze", "--corpus", str(corpus), "--strict")
         assert code == 1
         assert "line 2" in stderr
+
+    @pytest.mark.parametrize("which", ["corpus", "ledger"])
+    def test_bytes_that_are_not_utf8_name_the_line(self, capsys, tmp_path, which):
+        corpus, ledger = tmp_path / "c.csv", tmp_path / "ledger.csv"
+        corpus.write_bytes(b"record_id,venue,year,authors\na1,X,1980,Mary A\n")
+        ledger.write_bytes(b"key,gender,year_from,year_to,venue,source_note\n"
+                           b"mary a,F,,,,bio\n")
+        target = corpus if which == "corpus" else ledger
+        target.write_bytes(target.read_bytes() + b"a2,M\xffry,,,,\n")
+        for strict in ([], ["--strict"]):
+            code, _, stderr = run(capsys, "analyze", "--corpus", str(corpus),
+                                  "--overrides", str(ledger), *strict)
+            assert code == 1
+            assert stderr.startswith("error: line 3: not UTF-8")
 
     def test_strict_mode_aborts_on_dblp_publication(self, capsys, tmp_path):
         xml = tmp_path / "c.xml"

@@ -1,7 +1,11 @@
 import csv
 import io
 import logging
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
@@ -152,6 +156,15 @@ class TestCorpusCsv:
         second = nc.parse_corpus_csv(io.StringIO(nc.serialize_corpus_csv(first))).records
         assert first == second
 
+    def test_serialized_cells_with_carriage_returns_are_quoted(self):
+        text = ('record_id,venue,year,authors\n'
+                'a1,"A\rB",1980,Ada One\n'
+                'a2,"C\r\nD",1990,"Ann ""Q"" Lee|Bo\rCe"\n')
+        first = nc.parse_corpus_csv(io.StringIO(text, newline="")).records
+        serialized = nc.serialize_corpus_csv(first)
+        assert serialized == text
+        assert nc.parse_corpus_csv(io.StringIO(serialized, newline="")).records == first
+
     def test_author_order_preserved(self):
         stream = io.StringIO("record_id,venue,year,authors\na1,X,1980,Zoe A|Amy B|Mia C\n")
         [record] = nc.parse_corpus_csv(stream).records
@@ -165,6 +178,32 @@ class TestCorpusCsv:
         with pytest.raises(CorpusFormatError, match="line 3: .*field larger") as excinfo:
             nc.parse_corpus_csv(stream, strict=strict)
         assert excinfo.value.lineno == 3
+
+
+# Enough valid rows that the bad byte lies past the first chunk a text stream decodes.
+VALID_ROWS = "".join(f"a{i},X,1980,Ann B{i}\n" for i in range(3000))
+VALID_LEDGER_ROWS = "".join(f"ann b{i},F,,,,note\n" for i in range(3000))
+
+
+class TestBytesThatAreNotUtf8:
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_corpus_csv_names_the_line(self, tmp_path, strict):
+        path = tmp_path / "c.csv"
+        path.write_bytes(("record_id,venue,year,authors\n" + VALID_ROWS).encode()
+                         + b"z1,X,1980,Ad\xff B\nz2,X,1980,Ann C\n")
+        with open(path, encoding="utf-8", newline="") as stream:
+            with pytest.raises(CorpusFormatError, match="line 3002: not UTF-8") as excinfo:
+                nc.parse_corpus_csv(stream, strict=strict)
+        assert excinfo.value.lineno == 3002
+
+    def test_ledger_names_the_line(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_bytes((",".join(nc.corpus.LEDGER_HEADER) + "\n"
+                          + VALID_LEDGER_ROWS).encode() + b"zed q,F,,,,n\xffote\n")
+        with open(path, encoding="utf-8", newline="") as stream:
+            with pytest.raises(CorpusFormatError, match="line 3002: not UTF-8") as excinfo:
+                nc.read_override_ledger(stream)
+        assert excinfo.value.lineno == 3002
 
 
 DBLP_DUMP_HEADER = (b'<?xml version="1.0" encoding="ISO-8859-1"?>\n'
@@ -257,6 +296,14 @@ class TestDblpSubset:
         assert record.authors[0].first_name == "jurgen"
         assert record.venue == "Z\u00f6ol. & Bot."
 
+    @pytest.mark.parametrize("encoding", ["bogus", "rot13", "hex", "big5", "idna"])
+    def test_declared_encoding_python_cannot_use_raises_with_its_offset(self, encoding):
+        header = DBLP_DUMP_HEADER.replace(b"ISO-8859-1", encoding.encode("ascii"))
+        xml = header + b'<dblp><article key="a"><author>Ann</author><year>1990</year></article></dblp>'
+        with pytest.raises(DblpParseError, match="encoding") as excinfo:
+            nc.parse_dblp_subset(io.BytesIO(xml))
+        assert excinfo.value.offset == xml.index(encoding.encode("ascii"))
+
     def test_dump_header_keeps_byte_offsets(self):
         xml = (DBLP_DUMP_HEADER + b'<dblp>\n<article key="a/1"><author>Ann</author>'
                b'<year>1990</year></article>\n<article key="a/2"><author>Bo</author>'
@@ -290,6 +337,19 @@ class TestDblpSubset:
         xml = b'<dblp><article key="a"><author>Ann &amp; Bob</author><year>1980</year></article></dblp>'
         result = nc.parse_dblp_subset(io.BytesIO(xml))
         assert result.records[0].authors[0].raw == "Ann & Bob"
+
+
+def test_analyze_subprocess_on_unusable_declared_encoding_exits_1_without_traceback(tmp_path):
+    corpus = tmp_path / "bogus.xml"
+    corpus.write_bytes(b'<?xml version="1.0" encoding="bogus"?>\n<dblp><article key="a">'
+                       b'<author>Ann B</author><year>1990</year></article></dblp>\n')
+    proc = subprocess.run(
+        [sys.executable, "-m", "namecohort.cli", "analyze", "--corpus", str(corpus)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parent.parent)))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: byte 30: ")
+    assert "Traceback" not in proc.stderr
 
 
 def make_record(record_id="r1", venue="SIGX", year=1975, authors=("Jean Sammet",)):

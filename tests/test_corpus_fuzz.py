@@ -46,16 +46,19 @@ def inputs(seed: int) -> tuple[bytes, bytes]:
             ledger_csv(random_ledger(rng, pool)).encode("utf-8"))
 
 
-def mutations(data: bytes, rng: random.Random, count: int):
-    """Mutated copies of data: truncations, byte flips, injected delimiters,
-    quotes and line breaks, a repeated line, and one oversized cell."""
+CSV_JUNK = (b",", b"|", b'"', b"\n", b"\r", b"\r\n", b'",', b'"\n')
+
+
+def mutations(data: bytes, rng: random.Random, count: int, junk: tuple[bytes, ...] = CSV_JUNK):
+    """Mutated copies of data: truncations, byte flips, injected junk (by
+    default delimiters, quotes and line breaks), a repeated line, and one
+    oversized cell."""
     for _ in range(count):
         at = rng.randrange(len(data))
         yield data[:at]
         flip = rng.randrange(len(data))
         yield data[:flip] + bytes([data[flip] ^ rng.randrange(1, 256)]) + data[flip + 1:]
-        junk = rng.choice([b",", b"|", b'"', b"\n", b"\r", b"\r\n", b'",', b'"\n'])
-        yield data[:at] + junk + data[at:]
+        yield data[:at] + rng.choice(junk) + data[at:]
     lines = data.splitlines(keepends=True)
     yield b"".join(lines + lines[-1:])
     at = rng.randrange(len(lines[0]), len(data) + 1)

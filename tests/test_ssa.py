@@ -50,8 +50,8 @@ def test_parse_year_file_rejects_malformed_lines(line, fragment):
     assert fragment in str(excinfo.value)
 
 
-@pytest.mark.parametrize("count", ["1" * 5000, "\uff15", "1\u0661"],
-                         ids=["5000-digits", "fullwidth-5", "arabic-indic-1"])
+@pytest.mark.parametrize("count", ["1" * 5000, "\uff15", "1\u0661", str(2**32)],
+                         ids=["5000-digits", "fullwidth-5", "arabic-indic-1", "above-4-bytes"])
 def test_count_that_is_not_plain_ascii_digits_or_too_long_names_path_and_line(tmp_path, count):
     (tmp_path / "yob1980.txt").write_text(f"Ada,F,100\nBea,F,{count}\n", encoding="utf-8")
     with pytest.raises(SsaFormatError, match=r"yob1980\.txt:2: invalid count") as excinfo:
@@ -172,6 +172,36 @@ def test_load_directory_reports_file_and_line(tmp_path):
         nc.load_directory(tmp_path)
     assert "yob1980.txt" in str(excinfo.value)
     assert excinfo.value.lineno == 2
+
+
+def test_load_directory_rejects_a_repeated_row_naming_the_repeat(tmp_path):
+    (tmp_path / "yob1980.txt").write_text("Ada,F,100\nBea,F,50\nAda,F,7\n")
+    with pytest.raises(DuplicateEntryError, match=r"yob1980\.txt:3: .*\(ada, F, 1980\)"):
+        nc.load_directory(tmp_path)
+
+
+def test_load_directory_rejects_rows_that_normalize_alike(tmp_path):
+    # Each file holds one year, so only rows of one file can share a year.
+    (tmp_path / "yob1980.txt").write_text("Jose,M,100\n")
+    (tmp_path / "yob1981.txt").write_text("Jose,M,90\nJOS\u00c9,M,12\n", encoding="utf-8")
+    with pytest.raises(DuplicateEntryError,
+                       match=r"yob1981\.txt:2: .*\(jose, M, 1981\)") as excinfo:
+        nc.load_directory(tmp_path)
+    assert excinfo.value.triple == ("jose", "M", 1981)
+
+
+def test_load_directory_reports_a_malformed_later_file_before_a_duplicate(tmp_path):
+    (tmp_path / "yob1980.txt").write_text("Ada,F,100\nAda,F,100\n")
+    (tmp_path / "yob1990.txt").write_text("Ada,F,100\nAda,X,5\n")
+    with pytest.raises(SsaFormatError, match=r"yob1990\.txt:2: invalid sex"):
+        nc.load_directory(tmp_path)
+
+
+def test_load_directory_f_and_m_rows_of_one_name_and_year_are_one_entry(tmp_path):
+    (tmp_path / "yob1980.txt").write_text("Ada,F,100\nBea,F,40\nAda,M,9\n")
+    table = nc.load_directory(tmp_path)
+    assert table.counts("ada", 1980) == (100, 9)
+    assert len(table) == 2
 
 
 # Enough valid rows that the bad byte lies past the first chunk a text stream decodes.
