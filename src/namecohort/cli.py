@@ -85,20 +85,25 @@ def _load_corpus(args: argparse.Namespace) -> list[corpus.CorpusRecord]:
     fmt = args.corpus_format
     if fmt == "auto":
         fmt = "dblp" if path.suffix.lower() == ".xml" else "csv"
+    ledger = ledger_error = None
+    if args.overrides:
+        try:
+            with open(args.overrides, encoding="utf-8", newline="") as stream:
+                ledger = corpus.read_override_ledger(stream)
+        except (ValueError, OSError) as exc:  # an error in the corpus comes first
+            ledger_error = exc
     if fmt == "dblp":
         with open(path, "rb") as stream:
-            result = corpus.parse_dblp_subset(stream, strict=args.strict)
+            result = corpus.parse_dblp_subset(stream, strict=args.strict, ledger=ledger)
     else:
         with open(path, encoding="utf-8", newline="") as stream:
-            result = corpus.parse_corpus_csv(stream, strict=args.strict)
+            result = corpus.parse_corpus_csv(stream, strict=args.strict, ledger=ledger)
     if result.skipped:
         print(f"skipped {result.skipped} malformed entries in {path}", file=sys.stderr)
-    records = result.records
-    if args.overrides:
-        with open(args.overrides, encoding="utf-8", newline="") as stream:
-            ledger = corpus.read_override_ledger(stream)
-        records = corpus.apply_overrides(records, ledger)
-    return records
+    if ledger_error is not None:
+        raise ledger_error
+    corpus.warn_unmatched(result.unmatched)
+    return result.records
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

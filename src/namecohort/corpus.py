@@ -9,21 +9,22 @@ ledger; an override always outranks any statistical estimate downstream.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import re
-import xml.parsers.expat
 from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .model import Gender
-from .names import csv_text, extract_first_name, first_name_extractor, full_name_normalizer
+from .names import (_author_tokens, _first_name, _full_key, _key_part, csv_text,
+                    extract_first_name, full_name_normalizer)
 from .ssa import _undecodable_line
 
 __all__ = [
     "AuthorMention", "CorpusRecord", "CorpusParseResult", "CorpusFormatError",
     "DblpParseError", "OverrideEntry", "OverrideLedger", "apply_overrides",
     "extract_first_name", "parse_corpus_csv", "parse_dblp_subset",
-    "read_override_ledger", "serialize_corpus_csv",
+    "read_override_ledger", "serialize_corpus_csv", "warn_unmatched",
 ]
 
 logger = logging.getLogger(__name__)
@@ -95,11 +96,13 @@ class CorpusRecord:
 
 @dataclass(slots=True)
 class CorpusParseResult:
-    """Parsed records plus a tally of rows or elements skipped in lenient mode."""
+    """Parsed records plus a tally of rows or elements skipped in lenient
+    mode and, when a ledger was applied, its entries that matched nothing."""
 
     records: list[CorpusRecord] = field(default_factory=list)
     skipped: int = 0
     problems: list[str] = field(default_factory=list)
+    unmatched: list[OverrideEntry] = field(default_factory=list)
 
 
 def _csv_rows(stream: IO[str] | Iterable[str],
@@ -124,8 +127,7 @@ def _csv_rows(stream: IO[str] | Iterable[str],
         raise CorpusFormatError(f"not UTF-8 ({exc.reason})", _undecodable_line(path)) from None
 
 
-def _check_csv_row(row: list[str], lineno: int,
-                   first_name: Callable[[str], str | None]) -> CorpusRecord:
+def _check_csv_row(row: list[str], lineno: int, mentions: _Mentions) -> CorpusRecord:
     if len(row) != 4:
         raise CorpusFormatError(f"expected 4 columns, got {len(row)}", lineno)
     record_id, venue, raw_year, raw_authors = row
@@ -142,28 +144,32 @@ def _check_csv_row(row: list[str], lineno: int,
     if any(not a.strip() for a in authors):
         raise CorpusFormatError("empty author name in authors field", lineno)
     return CorpusRecord(record_id=record_id, venue=venue, publication_year=year,
-                        authors=tuple(AuthorMention(a, first_name(a)) for a in authors))
+                        authors=tuple(mentions.mention(a, venue, year) for a in authors))
 
 
-def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True) -> CorpusParseResult:
+def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True,
+                     ledger: OverrideLedger | None = None) -> CorpusParseResult:
     """Parse the corpus CSV format: header record_id,venue,year,authors with
     pipe-separated author strings, order preserved.
 
     In strict mode the first bad row aborts with its line number; in lenient
     mode bad rows are skipped and tallied in the result; a row the csv
-    module refuses aborts in either mode. Each distinct given-name token is
-    normalized once per call.
+    module refuses aborts in either mode. Each author string is tokenized
+    once, and each distinct token normalized once per call. A ledger, if
+    given, is applied as :func:`apply_overrides` applies it, except that
+    its unmatched entries are returned in the result, not logged.
     """
     result = CorpusParseResult()
-    first_name = first_name_extractor()
+    mentions = _Mentions(ledger)
     for lineno, row in _csv_rows(stream, CSV_HEADER):
         try:
-            result.records.append(_check_csv_row(row, lineno, first_name))
+            result.records.append(_check_csv_row(row, lineno, mentions))
         except CorpusFormatError as exc:
             if strict:
                 raise
             result.skipped += 1
             result.problems.append(str(exc))
+    result.unmatched = mentions.unmatched()
     return result
 
 
@@ -197,11 +203,11 @@ class _DblpHandler:
     """
 
     def __init__(self, result: CorpusParseResult, strict: bool,
-                 offset: Callable[[], int]):
+                 offset: Callable[[], int], mentions: _Mentions):
         self.result = result
         self._strict = strict
         self._offset = offset  # byte offset of the event being handled
-        self._first_name = first_name_extractor()
+        self._mentions = mentions
         self._start = 0  # byte offset of the current publication's start tag
         self._current: dict | None = None
         self._depth = 0
@@ -278,9 +284,10 @@ class _DblpHandler:
         if not authors:
             self._skip(f"{key}: no authors")
             return
+        venue = pub["venue"]
         self.result.records.append(CorpusRecord(
-            record_id=key, venue=pub["venue"], publication_year=year,
-            authors=tuple(AuthorMention(a, self._first_name(a)) for a in authors),
+            record_id=key, venue=venue, publication_year=year,
+            authors=tuple(self._mentions.mention(a, venue, year) for a in authors),
         ))
 
     def _skip(self, problem: str) -> None:
@@ -290,17 +297,19 @@ class _DblpHandler:
         self.result.problems.append(problem)
 
 
-def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> CorpusParseResult:
+def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
+                      ledger: OverrideLedger | None = None) -> CorpusParseResult:
     """Stream-parse DBLP-style XML: article/inproceedings elements with a key
     attribute, repeated author children, a year, and an optional venue
     (booktitle or journal). Everything else is ignored.
 
     Besides the records returned, memory holds a single publication element
-    and one memo entry per distinct given-name token in this call (each is
-    normalized once), regardless of file size. Publications missing a key, a
-    usable year, or any author are skipped and tallied; in strict mode the
-    first of them raises DblpParseError with the byte offset of its start
-    tag. Malformed XML raises DblpParseError with the byte offset. The input
+    and one memo entry per distinct name token in this call (each is
+    normalized once), regardless of file size. A ledger, if given, is
+    applied as :func:`parse_corpus_csv` applies it. Publications missing a
+    key, a usable year, or any author are skipped and tallied; in strict
+    mode the first of them raises DblpParseError with the byte offset of
+    its start tag. Malformed XML raises DblpParseError with the byte offset. The input
     may be a whole document or a root-less fragment stream. A document's
     XML declaration and DOCTYPE are read as such, within the first 64 KiB:
     a byte stream is decoded by the declared encoding (a text stream is
@@ -308,14 +317,18 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
     never fetched, a named entity it would declare, such as ``&uuml;``, is
     resolved as the HTML entity of that name. Entity declarations, other
     entities beyond the XML built-ins, and a declared encoding that Python
-    does not know or cannot decode byte by byte (such as big5) raise
-    DblpParseError.
+    does not know or cannot decode byte by byte (such as big5), and a text
+    stream holding a lone surrogate, raise DblpParseError.
     """
+    import xml.parsers.expat
+
     result = CorpusParseResult()
+    mentions = _Mentions(ledger)
     head = stream.read(_CHUNK_SIZE)
     text_mode = isinstance(head, str)
     if text_mode:
-        head = head.encode("utf-8")
+        # A lone surrogate passes into the bytes, where expat rejects it.
+        head = head.encode("utf-8", "surrogatepass")
     parser = xml.parsers.expat.ParserCreate("UTF-8" if text_mode else None)
     # The wrapper element follows the prolog, since a declaration must start
     # the document and a DOCTYPE must precede its root.
@@ -325,7 +338,8 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
         """The input's byte offset at the parser's index, wrapper excluded."""
         return index if index < prolog else max(prolog, index - len(_STREAM_WRAPPER_OPEN))
 
-    handler = _DblpHandler(result, strict, lambda: input_offset(parser.CurrentByteIndex))
+    handler = _DblpHandler(result, strict, lambda: input_offset(parser.CurrentByteIndex),
+                           mentions)
     parser.buffer_text = True
     parser.SetParamEntityParsing(xml.parsers.expat.XML_PARAM_ENTITY_PARSING_NEVER)
     parser.StartElementHandler = handler.start_element
@@ -348,7 +362,7 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
             parser.Parse(chunk, False)
             chunk = stream.read(_CHUNK_SIZE)
             if isinstance(chunk, str):
-                chunk = chunk.encode("utf-8")
+                chunk = chunk.encode("utf-8", "surrogatepass")
         parser.Parse(_STREAM_WRAPPER_CLOSE, True)
     except xml.parsers.expat.ExpatError as exc:
         raise DblpParseError(xml.parsers.expat.errors.messages[exc.code],
@@ -360,6 +374,7 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False) -> Corp
         # one that Python's codecs cannot give expat as a one-byte table.
         raise DblpParseError(f"unusable encoding ({exc})",
                              input_offset(parser.ErrorByteIndex)) from None
+    result.unmatched = mentions.unmatched()
     return result
 
 
@@ -459,30 +474,78 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
     return ledger
 
 
+class _Mentions:
+    """One call's author mentions, each built from one tokenization of its
+    author string: the first token gives the given name and, with a ledger,
+    the tokens give the override. Each distinct token is normalized once.
+
+    A mention builds its full-name key only when the key can equal a ledger
+    key: the key joins the non-empty key parts, so it ends in the last word
+    of the last token's part, which must then end some ledger key; when that
+    part is empty, the key is built.
+    """
+
+    def __init__(self, ledger: OverrideLedger | None):
+        self._ledger = ledger
+        self._first_name = functools.cache(_first_name)
+        self._key_part = functools.cache(_key_part)
+        self._entries = ledger.entries if ledger else ()
+        surnames = {entry.key.rpartition(" ")[2] for entry in self._entries}
+
+        @functools.cache
+        def may_end_key(token: str) -> bool:
+            part = _key_part(token)
+            return not part or part.rpartition(" ")[2] in surnames
+
+        self._may_end_key = may_end_key
+        self._used: set[OverrideEntry] = set()
+
+    def mention(self, raw: str, venue: str, year: int) -> AuthorMention:
+        """The mention of raw in a record of this venue and year, carrying
+        the gender of the first ledger entry whose key is its full-name key
+        and whose scope holds the venue and year."""
+        tokens = _author_tokens(raw)
+        first_name = self._first_name(tokens[0]) if tokens else None
+        gender = None
+        if self._ledger is not None and tokens and self._may_end_key(tokens[-1]):
+            entry = self._ledger.match(_full_key(tokens, self._key_part), venue, year)
+            if entry is not None:
+                self._used.add(entry)
+                gender = entry.gender
+        return AuthorMention(raw, first_name, gender)
+
+    def unmatched(self) -> list[OverrideEntry]:
+        """The ledger's entries that no mention matched, in ledger order."""
+        return [entry for entry in self._entries if entry not in self._used]
+
+
+def warn_unmatched(entries: Iterable[OverrideEntry]) -> None:
+    """Log a warning for each ledger entry that never matched, since a stale
+    key usually means a normalization mismatch."""
+    for entry in entries:
+        logger.warning("override entry never matched: %r (scope venue=%r years=%s-%s)",
+                       entry.key, entry.venue, entry.year_from, entry.year_to)
+
+
 def apply_overrides(records: Sequence[CorpusRecord],
                     ledger: OverrideLedger) -> list[CorpusRecord]:
     """Stamp override genders onto matching mentions; order is preserved.
 
     A mention matches when its normalized full name equals a ledger key and
     the record falls inside the entry's venue/year scope. Ledger entries
-    that never matched anything are reported as warnings, since a stale key
-    usually means a normalization mismatch. Each distinct name token is
-    folded once per call.
+    that never matched anything are reported by :func:`warn_unmatched`.
+    Each distinct name token is folded once per call.
     """
-    full_name = full_name_normalizer()
-    used: set[OverrideEntry] = set()
+    mentions = _Mentions(ledger)
     out = []
     for record in records:
-        matches = [ledger.match(full_name(mention.raw), record.venue, record.publication_year)
+        genders = [mentions.mention(mention.raw, record.venue,
+                                    record.publication_year).override_gender
                    for mention in record.authors]
-        if any(entry is not None for entry in matches):
-            used.update(entry for entry in matches if entry is not None)
+        if any(gender is not None for gender in genders):
             record = replace(record, authors=tuple(
-                mention if entry is None else replace(mention, override_gender=entry.gender)
-                for mention, entry in zip(record.authors, matches)))
+                mention if gender is None else replace(mention, override_gender=gender)
+                for mention, gender in zip(record.authors, genders)))
         out.append(record)
-    for entry in ledger.entries:
-        if entry not in used:
-            logger.warning("override entry never matched: %r (scope venue=%r years=%s-%s)",
-                           entry.key, entry.venue, entry.year_from, entry.year_to)
+    warn_unmatched(mentions.unmatched())
     return out

@@ -77,18 +77,22 @@ def _key_part(token: str) -> str:
     return " ".join(_PUNCT_RE.sub(" ", strip_diacritics(token).lower()).split())
 
 
-def extract_first_name(raw: str, first_name: Callable[[str], str | None] = _first_name
-                       ) -> str | None:
+def extract_first_name(raw: str) -> str | None:
     """Extract the normalized given name from a raw author string.
 
     Returns None when the given name is initial-only (a bare letter or a
     run of single letters such as "R.C."), or when nothing survives
     honorific stripping. "Surname, Given" order is detected via the comma
-    and flipped; hyphenated given names are kept whole. first_name
-    normalizes the given-name token (memoized by first_name_extractor).
+    and flipped; hyphenated given names are kept whole.
     """
     tokens = _author_tokens(raw)
-    return first_name(tokens[0]) if tokens else None
+    return _first_name(tokens[0]) if tokens else None
+
+
+def _full_key(tokens: list[str], key_part: Callable[[str], str] = _key_part) -> str:
+    """The full-name key of an author's tokens: their non-empty key parts
+    joined by single spaces."""
+    return " ".join(filter(None, map(key_part, tokens)))
 
 
 def normalize_full_name(raw: str, key_part: Callable[[str], str] = _key_part) -> str:
@@ -98,13 +102,7 @@ def normalize_full_name(raw: str, key_part: Callable[[str], str] = _key_part) ->
     "Bartik, Jean", "Jean  Bartik " and "jean bartik" all collide. It joins
     the non-empty key_part of each token (memoized by full_name_normalizer).
     """
-    return " ".join(filter(None, map(key_part, _author_tokens(raw))))
-
-
-def first_name_extractor() -> Callable[[str], str | None]:
-    """:func:`extract_first_name` for one pass: each distinct token is normalized once."""
-    first_name = functools.cache(_first_name)
-    return lambda raw: extract_first_name(raw, first_name)
+    return _full_key(_author_tokens(raw), key_part)
 
 
 def full_name_normalizer() -> Callable[[str], str]:

@@ -63,22 +63,26 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     endpoints, which avoids favoring either endpoint when ranking by size.
     Raises EndpointMissingError naming the year that had no data.
     """
-    return _shift(table, name, normalize_name(name), y1, y2, max_fallback_distance)
+    record = _shift(table, normalize_name(name), y1, y2, max_fallback_distance)
+    if isinstance(record, int):
+        raise EndpointMissingError(name, record)
+    return record
 
 
-def _shift(table: NameYearTable, name: str, key: str, y1: int, y2: int,
-           max_fallback_distance: int) -> ShiftRecord:
-    """:func:`gender_shift` of the name whose normalized key is given: the
-    key's span is fetched once and read at both years."""
+def _shift(table: NameYearTable, key: str, y1: int, y2: int,
+           max_fallback_distance: int) -> ShiftRecord | int:
+    """:func:`gender_shift` of the name whose normalized key is given, or
+    the first endpoint year without usable counts: the key's span is
+    fetched once and read at both years."""
     if y1 >= y2:
         raise ValueError("require y1 < y2")
     span = table.key_span(key)
     p_start, start_female, start_male, _, _ = lookup(table, span, y1, max_fallback_distance)
     if p_start is None:
-        raise EndpointMissingError(name, y1)
+        return y1
     p_end, end_female, end_male, _, _ = lookup(table, span, y2, max_fallback_distance)
     if p_end is None:
-        raise EndpointMissingError(name, y2)
+        return y2
     return ShiftRecord(name=key, p_start=p_start, p_end=p_end, delta=p_end - p_start,
                        weight=(start_female + start_male + end_female + end_male) / 2)
 
@@ -122,12 +126,8 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    records = []
-    for name in table.names():
-        try:
-            records.append(_shift(table, name, name, y1, y2, max_fallback_distance))
-        except EndpointMissingError:
-            continue
+    shifted = (_shift(table, name, y1, y2, max_fallback_distance) for name in table.names())
+    records = [record for record in shifted if not isinstance(record, int)]
     if weighted:
         records.sort(key=lambda r: (-(abs(r.delta) * r.weight), r.name))
     else:

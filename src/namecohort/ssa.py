@@ -26,7 +26,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .names import normalize_name
 
-_YEAR_FILE_RE = re.compile(r"^yob(\d{4})\.txt$")
+_YEAR_FILE_RE = re.compile(r"yob([0-9]{4})\.txt")
 
 SNAPSHOT_MAGIC = "# namecohort-table v3"
 _MAGIC_LINE = SNAPSHOT_MAGIC.encode("ascii") + b"\n"
@@ -353,7 +353,7 @@ def serialize_table(table: NameYearTable) -> dict[int, str]:
 def iter_year_files(directory: Path) -> Iterator[tuple[int, Path]]:
     """Yield (year, path) for every yobYYYY.txt in the directory, sorted."""
     for path in sorted(Path(directory).iterdir()):
-        match = _YEAR_FILE_RE.match(path.name)
+        match = _YEAR_FILE_RE.fullmatch(path.name)
         if match:
             yield int(match.group(1)), path
 

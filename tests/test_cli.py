@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import namecohort as nc
-from namecohort import shifts
+from namecohort import corpus as corpus_module
+from namecohort import names, shifts
 from namecohort.cli import build_parser, main
 
 FIXTURE_DIR = str(resources.files("namecohort") / "data" / "ssa_fixture")
@@ -307,6 +311,79 @@ class TestAnalyze:
                                   "--overrides", str(ledger), *strict)
             assert code == 1
             assert stderr.startswith("error: line 3: not UTF-8")
+
+    def test_overrides_tokenize_each_author_string_once(self, capsys, tmp_path, monkeypatch):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("record_id,venue,year,authors\n"
+                          "a1,X,1970,Leslie One|Leslie Two|B. Liskov\n"
+                          "a2,X,1971,\"One, Leslie\"|Dr. Ann Other\n")
+        ledger = tmp_path / "l.csv"
+        ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
+                          "leslie one,F,,,,bio\nb liskov,F,,,,bio\nann other,M,,,,obit\n")
+        calls, tokens = [], names._author_tokens
+
+        def author_tokens(raw):
+            calls.append(raw)
+            return tokens(raw)
+
+        monkeypatch.setattr(names, "_author_tokens", author_tokens)
+        monkeypatch.setattr(corpus_module, "_author_tokens", author_tokens)
+        code, stdout, _ = run(capsys, "analyze", "--corpus", str(corpus),
+                              "--overrides", str(ledger), "--estimator", "classified-share")
+        assert code == 0
+        keys = ["leslie one", "b liskov", "ann other"]  # read once each with the ledger
+        assert sorted(calls) == sorted(["Leslie One", "Leslie Two", "B. Liskov",
+                                        "One, Leslie", "Dr. Ann Other", *keys])
+        assert stdout.splitlines()[1:] == ["1970,1.0,3,2,1,classified-share",
+                                           "1971,0.5,2,2,0,classified-share"]
+
+    def test_skipped_line_comes_before_unmatched_ledger_warnings(self, tmp_path):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("record_id,venue,year,authors\n"
+                          "a1,X,80,Jean Bartik\n"
+                          "a2,X,1980,Mary A\n")
+        ledger = tmp_path / "l.csv"
+        ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
+                          "jean bartik,F,,,,bio\nmary a,F,,,,bio\nann b,M,,,,obit\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "namecohort.cli", "analyze", "--corpus", str(corpus),
+             "--overrides", str(ledger)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parent.parent)))
+        assert proc.stderr.splitlines() == [
+            f"skipped 1 malformed entries in {corpus}",
+            "override entry never matched: 'jean bartik' (scope venue=None years=None-None)",
+            "override entry never matched: 'ann b' (scope venue=None years=None-None)",
+        ]
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_corpus_error_wins_over_ledger_error(self, capsys, tmp_path, strict):
+        ledger = tmp_path / "l.csv"
+        ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
+                          "mary a,Q,,,,bio\n")
+        bad_header = tmp_path / "c.csv"
+        bad_header.write_text("id,venue,year,authors\na1,X,1980,Mary A\n")
+        bad_xml = tmp_path / "c.xml"
+        bad_xml.write_bytes(b'<dblp><article key="a"><author>Mary A</author>')
+        for corpus, error in ((bad_header, "error: line 1: expected header"),
+                              (bad_xml, "error: byte 48: mismatched tag"),
+                              (tmp_path / "missing.csv", "error: [Errno 2]")):
+            code, stdout, stderr = run(capsys, "analyze", "--corpus", str(corpus),
+                                       "--overrides", str(ledger), *strict)
+            assert (code, stdout) == (1, "")
+            assert stderr.startswith(error) and stderr.count("\n") == 1
+
+    def test_ledger_error_follows_the_skipped_line(self, capsys, tmp_path):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text("record_id,venue,year,authors\na1,X,80,Bad\na2,X,1980,Mary A\n")
+        ledger = tmp_path / "l.csv"
+        ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
+                          "mary a,Q,,,,bio\n")
+        code, stdout, stderr = run(capsys, "analyze", "--corpus", str(corpus),
+                                   "--overrides", str(ledger))
+        assert (code, stdout) == (1, "")
+        assert stderr.splitlines() == [f"skipped 1 malformed entries in {corpus}",
+                                       "error: line 2: invalid gender 'Q'"]
 
     def test_strict_mode_aborts_on_dblp_publication(self, capsys, tmp_path):
         xml = tmp_path / "c.xml"

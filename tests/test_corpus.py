@@ -338,6 +338,15 @@ class TestDblpSubset:
         result = nc.parse_dblp_subset(io.BytesIO(xml))
         assert result.records[0].authors[0].raw == "Ann & Bob"
 
+    @pytest.mark.parametrize("padding", [0, 70_000], ids=["first-chunk", "later-chunk"])
+    def test_text_stream_holding_a_lone_surrogate_names_its_offset(self, padding):
+        text = ("<dblp><!--" + "p" * padding + '--><article key="a">'
+                "<author>A\ud800 B</author><year>1980</year></article></dblp>")
+        with pytest.raises(DblpParseError) as excinfo:
+            nc.parse_dblp_subset(io.StringIO(text))
+        assert excinfo.value.offset == text.index("\ud800")
+        assert "not well-formed" in str(excinfo.value)
+
 
 def test_analyze_subprocess_on_unusable_declared_encoding_exits_1_without_traceback(tmp_path):
     corpus = tmp_path / "bogus.xml"
@@ -462,6 +471,31 @@ class TestOverrides:
         with caplog.at_level(logging.WARNING, logger="namecohort.corpus"):
             nc.apply_overrides([make_record()], ledger)
         assert any("never matched" in message for message in caplog.messages)
+
+    def test_parsers_take_a_ledger_and_return_its_unmatched_entries(self):
+        ledger = nc.read_override_ledger(io.StringIO(
+            "key,gender,year_from,year_to,venue,source_note\n"
+            "jean sammet,F,,,,bio\nb liskov,F,,,,bio\nada (.),F,,,,bio\nnobody,M,,,,x\n"))
+        csv_result = nc.parse_corpus_csv(io.StringIO(
+            "record_id,venue,year,authors\n"
+            "a1,SIGX,1980,Jean Sammet|Ada (.)|Jean Other\n"
+            "a2,SIGX,80,B. Liskov\n"), strict=False, ledger=ledger)
+        dblp_result = nc.parse_dblp_subset(io.BytesIO(
+            b'<dblp><article key="a1"><author>Jean Sammet</author><author>Ada (.)</author>'
+            b'<author>Jean Other</author><year>1980</year><journal>SIGX</journal></article>'
+            b'<article key="a2"><author>B. Liskov</author><year>80</year></article></dblp>'),
+            ledger=ledger)
+        for result in (csv_result, dblp_result):
+            assert result.skipped == 1  # the row naming b liskov matches nothing
+            [record] = result.records
+            assert [m.override_gender for m in record.authors] == [Gender.FEMALE,
+                                                                   Gender.FEMALE, None]
+            assert [m.first_name for m in record.authors] == ["jean", "ada", "jean"]
+            assert [e.key for e in result.unmatched] == ["b liskov", "nobody"]
+        plain = nc.parse_corpus_csv(io.StringIO("record_id,venue,year,authors\n"
+                                                "a1,SIGX,1980,Jean Sammet\n"))
+        assert plain.unmatched == []
+        assert plain.records[0].authors[0].override_gender is None
 
     def test_author_order_preserved_everywhere(self):
         record = make_record(authors=("Zoe A", "Jean Sammet", "Mia C"))

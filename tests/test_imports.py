@@ -38,12 +38,12 @@ EXPORTED = [
 SUBMODULES = ["cli", "corpus", "model", "names", "sampling", "shifts", "ssa", "trend"]
 
 
-def modules_after(tmp_path: Path, argv: list[str]) -> set[str]:
-    """The namecohort modules loaded by a fresh interpreter that ran the CLI on argv."""
+def modules_after(tmp_path: Path, argv: list[str], prefix: str = "namecohort") -> set[str]:
+    """The modules under prefix loaded by a fresh interpreter that ran the CLI on argv."""
     script = ("import json, sys\nfrom namecohort.cli import main\n"
               f"code = main({argv!r})\n"
               "print(json.dumps([code, sorted(m for m in sys.modules"
-              " if m.startswith('namecohort'))]))\n")
+              f" if m.startswith({prefix!r}))]))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), check=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -69,6 +69,18 @@ def test_corpus_commands_load_what_they_use(tmp_path):
     loaded = modules_after(tmp_path, ["analyze", "--corpus", str(corpus), "--out", "s.csv"])
     assert {"namecohort.corpus", "namecohort.trend"} <= loaded
     assert "namecohort.sampling" not in loaded
+
+
+def test_csv_corpus_commands_do_not_load_expat(tmp_path):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")
+    xml = tmp_path / "c.xml"
+    xml.write_text('<dblp><article key="a"><author>Mary A</author><year>1980</year></article>'
+                   "</dblp>")
+    assert "xml.parsers.expat" not in modules_after(
+        tmp_path, ["analyze", "--corpus", str(corpus), "--out", "s.csv"], prefix="xml")
+    assert "xml.parsers.expat" in modules_after(
+        tmp_path, ["analyze", "--corpus", str(xml), "--out", "s.csv"], prefix="xml")
 
 
 @pytest.mark.parametrize("name", EXPORTED + SUBMODULES)

@@ -2,7 +2,9 @@
 
 Seeded author strings mix diacritics, NBSP, U+00A8 (whose NFKD form starts
 with a space), Greek capital sigma, dotted capital I, ligatures, brackets,
-quotes, "Surname, Given" forms with suffixes, honorifics and initials.
+quotes, "Surname, Given" forms with suffixes, honorifics and initials, and
+surnames whose key part is empty ("(.)", "¨") or several words
+("O'Neil-Smith").
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import csv
 import io
 import logging
 import random
+from xml.sax.saxutils import escape
 
 import namecohort as nc
 from namecohort.corpus import make_mention
@@ -20,7 +23,8 @@ from oracles import oracle_apply_overrides, oracle_normalize_full_name
 GIVEN = ["José", "ΣΟΦΙΑ", "Σοφια", "İlkay", "Jürgen", "ﬁona", "Æsa", "Ørjan", "Łukasz",
          "Þóra", "Zoë", "Ma¨ry", "J.", "R.C.", "B", "Anne-Marie", "O'Neil", "ada"]
 SURNAMES = ["Smith", "de la Cruz", "Núñez", "Straße", "ΟΔΥΣΣΕΑΣ", "Yıldız", "O'Brien",
-            "(Lee)", '"Kim"', "[Wu]", "Smith-Jones", "ΑΣ"]
+            "(Lee)", '"Kim"', "[Wu]", "Smith-Jones", "ΑΣ", "O'Neil-Smith", "(.)",
+            "¨"]
 HONORIFICS = ["", "", "Dr. ", "Prof ", "Mrs. ", "Mr ", "Dr. Prof. ", "MISS ", "dr."]
 SUFFIXES = ["Jr.", "III", "PhD", ""]
 SPACES = [" ", "  ", "\u00a0", "\t", " \u00a0"]
@@ -93,15 +97,26 @@ def ledger_csv(entries: list[tuple]) -> str:
     return buffer.getvalue()
 
 
-def test_apply_overrides_matches_brute_force_oracle(caplog):
+def seeded_cases():
+    """(corpus, ledger entries) pairs: corpus is [(venue, year, [raw author, ...])]."""
     rng = random.Random(9)
-    matched = 0
     for _ in range(40):
         pool = [random_author(rng) for _ in range(rng.randint(1, 30))]
         corpus = [(rng.choice(VENUES), rng.randint(1950, 2010),
                    [rng.choice(pool) for _ in range(rng.randint(1, 4))])
                   for _ in range(rng.randint(1, 40))]
-        entries = random_ledger(rng, pool)
+        yield corpus, random_ledger(rng, pool)
+
+
+def stamped_genders(records: list[nc.CorpusRecord]) -> list:
+    return [(record.venue, record.publication_year,
+             [(m.raw, m.override_gender and m.override_gender.value) for m in record.authors])
+            for record in records]
+
+
+def test_apply_overrides_matches_brute_force_oracle(caplog):
+    matched = 0
+    for corpus, entries in seeded_cases():
         records = [nc.CorpusRecord(record_id=f"r{i}", venue=venue, publication_year=year,
                                    authors=tuple(make_mention(raw) for raw in raws))
                    for i, (venue, year, raws) in enumerate(corpus)]
@@ -110,10 +125,41 @@ def test_apply_overrides_matches_brute_force_oracle(caplog):
         with caplog.at_level(logging.WARNING, logger="namecohort.corpus"):
             stamped = nc.apply_overrides(records, ledger)
         expected, unmatched = oracle_apply_overrides(corpus, entries)
-        assert [(record.venue, record.publication_year,
-                 [(m.raw, m.override_gender and m.override_gender.value)
-                  for m in record.authors]) for record in stamped] == expected
+        assert stamped_genders(stamped) == expected
         assert [record.args for record in caplog.records] == unmatched
         matched += sum(gender is not None for *_, mentions in expected
                        for _, gender in mentions)
     assert matched > 100
+
+
+def dblp_xml(corpus: list) -> bytes:
+    return ("<dblp>" + "".join(
+        f'<article key="r{i}">' + "".join(f"<author>{escape(raw)}</author>" for raw in raws)
+        + f"<year>{year}</year><journal>{escape(venue)}</journal></article>"
+        for i, (venue, year, raws) in enumerate(corpus)) + "</dblp>").encode("utf-8")
+
+
+def test_parsers_apply_a_ledger_like_the_oracle():
+    """Both parsers, given the ledger, stamp what the oracle stamps on the
+    author strings they parse, and return the entries it leaves unmatched.
+    Rows that do not survive serialization (an empty author) are skipped."""
+    matched = kept = 0
+    for corpus, entries in seeded_cases():
+        records = [nc.CorpusRecord(record_id=f"r{i}", venue=venue, publication_year=year,
+                                   authors=tuple(make_mention(raw) for raw in raws))
+                   for i, (venue, year, raws) in enumerate(corpus)]
+        ledger = nc.read_override_ledger(io.StringIO(ledger_csv(entries), newline=""))
+        csv_text = nc.serialize_corpus_csv(records)
+        for result in (nc.parse_corpus_csv(io.StringIO(csv_text, newline=""), strict=False,
+                                           ledger=ledger),
+                       nc.parse_dblp_subset(io.BytesIO(dblp_xml(corpus)), ledger=ledger)):
+            parsed = [(r.venue, r.publication_year, [m.raw for m in r.authors])
+                      for r in result.records]
+            expected, unmatched = oracle_apply_overrides(parsed, entries)
+            assert stamped_genders(result.records) == expected
+            assert [(e.key, e.venue, e.year_from, e.year_to)
+                    for e in result.unmatched] == unmatched
+            kept += len(parsed)
+            matched += sum(gender is not None for *_, mentions in expected
+                           for _, gender in mentions)
+    assert matched > 200 and kept > 1000

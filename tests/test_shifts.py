@@ -116,6 +116,16 @@ def test_top_shift_returns_short_list_when_few_eligible(fixture_table):
         nc.top_shift_names(fixture_table, 1925, 1975, k=0)
 
 
+def test_top_shift_skips_missing_endpoints_without_raising(fixture_table, monkeypatch):
+    expected = nc.top_shift_names(fixture_table, 1925, 1975, k=500)
+
+    def refuse(*args):
+        raise AssertionError("top_shift_names built an EndpointMissingError")
+
+    monkeypatch.setattr(EndpointMissingError, "__init__", refuse)
+    assert nc.top_shift_names(fixture_table, 1925, 1975, k=500) == expected
+
+
 def test_net_female_shift_symmetry_and_single_name():
     table = nc.NameYearTable({
         ("up", 1900): (20, 80), ("up", 2000): (80, 20),

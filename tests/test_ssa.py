@@ -166,6 +166,17 @@ def test_load_directory_without_year_files_errors(tmp_path):
         nc.load_directory(tmp_path)
 
 
+@pytest.mark.parametrize("name", ["yob\uff11\uff19\uff18\uff10.txt", "yob1980.txt\n"],
+                         ids=["fullwidth-digits", "trailing-newline"])
+def test_only_an_ascii_year_file_name_is_a_year_file(tmp_path, name):
+    (tmp_path / name).write_text("Ada,F,7\n")
+    with pytest.raises(FileNotFoundError, match="no yobYYYY.txt year files"):
+        nc.load_directory(tmp_path)
+    (tmp_path / "yob1980.txt").write_text("Ada,F,100\n")
+    assert [path.name for _, path in ssa.iter_year_files(tmp_path)] == ["yob1980.txt"]
+    assert nc.load_directory(tmp_path).counts("ada", 1980) == (100, 0)
+
+
 def test_load_directory_reports_file_and_line(tmp_path):
     (tmp_path / "yob1980.txt").write_text("Ada,F,100\nAda,Q,5\n")
     with pytest.raises(SsaFormatError) as excinfo:
