@@ -10,29 +10,34 @@ any result can be re-derived.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
-import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
-from . import __version__, model, shifts, ssa
+from . import __version__, model, ssa
 from .names import csv_text, normalize_name
 
 if TYPE_CHECKING:
-    from . import corpus
+    from . import corpus, shifts
 
-# corpus, trend and sampling are imported by the commands that use them, so
-# that ingest, pf and shifts never load them.
+# corpus, trend, sampling and shifts are imported by the commands that use
+# them, so that each command loads only what it runs.
 
 TABLE_FORMAT = ssa.SNAPSHOT_MAGIC.lstrip("# ")
-# The values of trend.Estimator, spelled out so that building the parser
-# does not import trend.
+# The values of trend.Estimator and shifts.DEFAULT_SAMPLE_YEARS, spelled out
+# so that building the parser imports neither module.
 ESTIMATORS = ("weighted-mean", "classified-share")
+SAMPLE_YEARS = (1900, 1925, 1950, 1975, 2000)
+
+T = TypeVar("T")
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # only manifests need it
+
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -78,7 +83,11 @@ def _model_config(args: argparse.Namespace) -> model.ModelConfig:
                              max_fallback_distance=args.max_fallback)
 
 
-def _load_corpus(args: argparse.Namespace) -> list[corpus.CorpusRecord]:
+def _load_corpus(args: argparse.Namespace) -> Iterator[corpus.Row]:
+    """The corpus rows, as the parser reads them. Once they are used up, and
+    so before any output, the skip count goes to stderr, then a ledger error
+    is raised or the unmatched ledger entries are warned about; an error in
+    the corpus comes first."""
     from . import corpus
 
     path = args.corpus
@@ -92,18 +101,29 @@ def _load_corpus(args: argparse.Namespace) -> list[corpus.CorpusRecord]:
                 ledger = corpus.read_override_ledger(stream)
         except (ValueError, OSError) as exc:  # an error in the corpus comes first
             ledger_error = exc
+    result = corpus.CorpusParseResult()
     if fmt == "dblp":
         with open(path, "rb") as stream:
-            result = corpus.parse_dblp_subset(stream, strict=args.strict, ledger=ledger)
+            yield from corpus._parse_dblp(stream, args.strict, ledger, result)
     else:
         with open(path, encoding="utf-8", newline="") as stream:
-            result = corpus.parse_corpus_csv(stream, strict=args.strict, ledger=ledger)
+            yield from corpus._parse_csv(stream, args.strict, ledger, result)
     if result.skipped:
         print(f"skipped {result.skipped} malformed entries in {path}", file=sys.stderr)
     if ledger_error is not None:
         raise ledger_error
     corpus.warn_unmatched(result.unmatched)
-    return result.records
+
+
+def _before_corpus(rows: Iterator[corpus.Row], settings: Callable[[], T]) -> T:
+    """settings(), which a command validates before it reads its corpus rows.
+    When that raises ValueError, the rows are used up first, so that the
+    corpus errors, skip count and ledger messages come before it."""
+    try:
+        return settings()
+    except ValueError:
+        collections.deque(rows, maxlen=0)
+        raise
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -152,6 +172,8 @@ def _shift_records_csv(records: list[shifts.ShiftRecord]) -> bytes:
 
 
 def cmd_shifts(args: argparse.Namespace) -> int:
+    from . import shifts
+
     table = _load_table(args)
     y1, y2 = args.from_year, args.to_year
     modes = [bool(args.name), args.top is not None, args.unstable]
@@ -228,16 +250,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import trend
 
     table = _load_table(args)
-    records = _load_corpus(args)
-    config = trend.EstimatorConfig(
-        estimator=trend.Estimator(args.estimator),
-        unknown_value=args.unknown_value,
-        display_encoding=trend.DisplayEncoding() if args.display_encoding else None,
-        bin_width=args.bin_width,
-        group_by_venue=args.group_by_venue,
-    )
-    thresholds = model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male)
-    points = trend.annual_share(records, table, _model_config(args), thresholds, config)
+    rows = _load_corpus(args)
+    config, thresholds, model_config = _before_corpus(rows, lambda: (
+        trend.EstimatorConfig(
+            estimator=trend.Estimator(args.estimator),
+            unknown_value=args.unknown_value,
+            display_encoding=trend.DisplayEncoding() if args.display_encoding else None,
+            bin_width=args.bin_width,
+            group_by_venue=args.group_by_venue,
+        ),
+        model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male),
+        _model_config(args)))
+    points = trend._annual_share(rows, table, model_config, thresholds, config)
     data = trend.emit_series(points, args.format)
     _write_output(args, data,
                   lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
@@ -248,9 +272,9 @@ def cmd_bias_report(args: argparse.Namespace) -> int:
     from . import trend
 
     table = _load_table(args)
-    records = _load_corpus(args)
-    report = trend.present_bias_report(records, table, _model_config(args),
-                                       reference_year=args.reference_year)
+    rows = _load_corpus(args)
+    report = trend._bias_report(rows, table, _before_corpus(rows, lambda: _model_config(args)),
+                                args.reference_year)
     data = trend.emit_series(report, args.format)
     _write_output(args, data,
                   lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
@@ -360,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", action="store_true",
                    help="print the weight-normalized net female shift instead of rows")
     p.add_argument("--sample-years", action=_ModeOption, mode="--unstable", type=_int_list,
-                   default=shifts.DEFAULT_SAMPLE_YEARS,
+                   default=SAMPLE_YEARS,
                    help="comma-separated years for instability detection")
     p.add_argument("--range-threshold", action=_ModeOption, mode="--unstable", type=float,
                    default=0.3,

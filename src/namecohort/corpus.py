@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import functools
-import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .model import Gender
@@ -26,8 +25,6 @@ __all__ = [
     "extract_first_name", "parse_corpus_csv", "parse_dblp_subset",
     "read_override_ledger", "serialize_corpus_csv", "warn_unmatched",
 ]
-
-logger = logging.getLogger(__name__)
 
 MIN_PLAUSIBLE_YEAR = 1900
 MAX_PLAUSIBLE_YEAR = 2100
@@ -94,6 +91,35 @@ class CorpusRecord:
             )
 
 
+# A parsed publication as the corpus commands pass it on, with no per-row
+# objects: (record_id, venue, year, mentions), each mention a tuple
+# (raw, first_name, override_gender) of the fields of an AuthorMention.
+Mention = tuple[str, str | None, Gender | None]
+Row = tuple[str, str, int, list[Mention]]
+
+
+def _records(rows: Iterable[Row]) -> list[CorpusRecord]:
+    """The records of rows, validated as CorpusRecord validates them."""
+    return [CorpusRecord(record_id, venue, year,
+                         tuple([AuthorMention(*mention) for mention in mentions]))
+            for record_id, venue, year, mentions in rows]
+
+
+def _rows(records: Iterable[CorpusRecord]) -> Iterator[Row]:
+    """The rows of records."""
+    for record in records:
+        yield (record.record_id, record.venue, record.publication_year,
+               [(m.raw, m.first_name, m.override_gender) for m in record.authors])
+
+
+def _year(text: str) -> int | None:
+    """The year written in text as ASCII digits, white space around them
+    allowed; None for any other text (int() would also take signs,
+    underscores and other scripts' digits)."""
+    digits = text.strip()
+    return int(digits) if digits.isascii() and digits.isdigit() else None
+
+
 @dataclass(slots=True)
 class CorpusParseResult:
     """Parsed records plus a tally of rows or elements skipped in lenient
@@ -127,14 +153,13 @@ def _csv_rows(stream: IO[str] | Iterable[str],
         raise CorpusFormatError(f"not UTF-8 ({exc.reason})", _undecodable_line(path)) from None
 
 
-def _check_csv_row(row: list[str], lineno: int, mentions: _Mentions) -> CorpusRecord:
+def _check_csv_row(row: list[str], lineno: int, mentions: _Mentions) -> Row:
     if len(row) != 4:
         raise CorpusFormatError(f"expected 4 columns, got {len(row)}", lineno)
     record_id, venue, raw_year, raw_authors = row
-    try:
-        year = int(raw_year)
-    except ValueError:
-        raise CorpusFormatError(f"invalid year {raw_year!r}", lineno) from None
+    year = _year(raw_year)
+    if year is None:
+        raise CorpusFormatError(f"invalid year {raw_year!r}", lineno)
     if not (MIN_PLAUSIBLE_YEAR <= year <= MAX_PLAUSIBLE_YEAR):
         raise CorpusFormatError(f"year {year} out of range "
                                 f"{MIN_PLAUSIBLE_YEAR}-{MAX_PLAUSIBLE_YEAR}", lineno)
@@ -143,14 +168,33 @@ def _check_csv_row(row: list[str], lineno: int, mentions: _Mentions) -> CorpusRe
     authors = raw_authors.split("|")
     if any(not a.strip() for a in authors):
         raise CorpusFormatError("empty author name in authors field", lineno)
-    return CorpusRecord(record_id=record_id, venue=venue, publication_year=year,
-                        authors=tuple(mentions.mention(a, venue, year) for a in authors))
+    return record_id, venue, year, [mentions.mention(a, venue, year) for a in authors]
+
+
+def _parse_csv(stream: IO[str] | Iterable[str], strict: bool, ledger: OverrideLedger | None,
+               result: CorpusParseResult) -> Iterator[Row]:
+    """The rows of :func:`parse_corpus_csv`, one per good CSV row as it is
+    read; skips are tallied in result as they happen, and the ledger's
+    unmatched entries stored in it once the stream is used up."""
+    mentions = _Mentions(ledger)
+    for lineno, cells in _csv_rows(stream, CSV_HEADER):
+        try:
+            row = _check_csv_row(cells, lineno, mentions)
+        except CorpusFormatError as exc:
+            if strict:
+                raise
+            result.skipped += 1
+            result.problems.append(str(exc))
+            continue
+        yield row
+    result.unmatched = mentions.unmatched()
 
 
 def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True,
                      ledger: OverrideLedger | None = None) -> CorpusParseResult:
     """Parse the corpus CSV format: header record_id,venue,year,authors with
-    pipe-separated author strings, order preserved.
+    pipe-separated author strings, order preserved. A year is ASCII digits,
+    white space around them allowed.
 
     In strict mode the first bad row aborts with its line number; in lenient
     mode bad rows are skipped and tallied in the result; a row the csv
@@ -160,25 +204,24 @@ def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True,
     its unmatched entries are returned in the result, not logged.
     """
     result = CorpusParseResult()
-    mentions = _Mentions(ledger)
-    for lineno, row in _csv_rows(stream, CSV_HEADER):
-        try:
-            result.records.append(_check_csv_row(row, lineno, mentions))
-        except CorpusFormatError as exc:
-            if strict:
-                raise
-            result.skipped += 1
-            result.problems.append(str(exc))
-    result.unmatched = mentions.unmatched()
+    result.records = _records(_parse_csv(stream, strict, ledger, result))
     return result
 
 
 def serialize_corpus_csv(records: Sequence[CorpusRecord]) -> str:
     """Render records back to the corpus CSV format (raw author strings kept),
-    with cells quoted as :func:`names.csv_text` quotes them."""
-    return csv_text([CSV_HEADER, *([record.record_id, record.venue, record.publication_year,
-                                    "|".join(m.raw for m in record.authors)]
-                                   for record in records)])
+    with cells quoted as :func:`names.csv_text` quotes them. The format has
+    no escape for the "|" that separates authors, so an author string
+    holding one raises ValueError."""
+    rows: list[list] = [CSV_HEADER]
+    for record in records:
+        for mention in record.authors:
+            if "|" in mention.raw:
+                raise ValueError(f"record {record.record_id!r}: author {mention.raw!r} holds "
+                                 f"'|', which the corpus CSV format cannot escape")
+        rows.append([record.record_id, record.venue, record.publication_year,
+                     "|".join(m.raw for m in record.authors)])
+    return csv_text(rows)
 
 
 _PUBLICATION_TAGS = frozenset({"article", "inproceedings"})
@@ -205,6 +248,7 @@ class _DblpHandler:
     def __init__(self, result: CorpusParseResult, strict: bool,
                  offset: Callable[[], int], mentions: _Mentions):
         self.result = result
+        self.rows: list[Row] = []  # finished since the caller last took them
         self._strict = strict
         self._offset = offset  # byte offset of the event being handled
         self._mentions = mentions
@@ -272,9 +316,8 @@ class _DblpHandler:
         if raw_year is None:
             self._skip(f"{key}: missing year")
             return
-        try:
-            year = int(raw_year)
-        except ValueError:
+        year = _year(raw_year)
+        if year is None:
             self._skip(f"{key}: invalid year {raw_year!r}")
             return
         if not (MIN_PLAUSIBLE_YEAR <= year <= MAX_PLAUSIBLE_YEAR):
@@ -285,10 +328,8 @@ class _DblpHandler:
             self._skip(f"{key}: no authors")
             return
         venue = pub["venue"]
-        self.result.records.append(CorpusRecord(
-            record_id=key, venue=venue, publication_year=year,
-            authors=tuple(self._mentions.mention(a, venue, year) for a in authors),
-        ))
+        self.rows.append((key, venue, year,
+                          [self._mentions.mention(a, venue, year) for a in authors]))
 
     def _skip(self, problem: str) -> None:
         if self._strict:
@@ -307,7 +348,8 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
     and one memo entry per distinct name token in this call (each is
     normalized once), regardless of file size. A ledger, if given, is
     applied as :func:`parse_corpus_csv` applies it. Publications missing a
-    key, a usable year, or any author are skipped and tallied; in strict
+    key, a usable year (ASCII digits, white space around them allowed), or
+    any author are skipped and tallied; in strict
     mode the first of them raises DblpParseError with the byte offset of
     its start tag. Malformed XML raises DblpParseError with the byte offset. The input
     may be a whole document or a root-less fragment stream. A document's
@@ -320,9 +362,19 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
     does not know or cannot decode byte by byte (such as big5), and a text
     stream holding a lone surrogate, raise DblpParseError.
     """
+    result = CorpusParseResult()
+    result.records = _records(_parse_dblp(stream, strict, ledger, result))
+    return result
+
+
+def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedger | None,
+                result: CorpusParseResult) -> Iterator[Row]:
+    """The rows of :func:`parse_dblp_subset`, those finished in each 64 KiB
+    chunk once it is parsed; skips are tallied in result as they happen,
+    and the ledger's unmatched entries stored in it once the stream is
+    used up."""
     import xml.parsers.expat
 
-    result = CorpusParseResult()
     mentions = _Mentions(ledger)
     head = stream.read(_CHUNK_SIZE)
     text_mode = isinstance(head, str)
@@ -360,10 +412,13 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
         chunk = head[prolog:]
         while chunk:
             parser.Parse(chunk, False)
+            yield from handler.rows
+            handler.rows.clear()
             chunk = stream.read(_CHUNK_SIZE)
             if isinstance(chunk, str):
                 chunk = chunk.encode("utf-8", "surrogatepass")
         parser.Parse(_STREAM_WRAPPER_CLOSE, True)
+        yield from handler.rows
     except xml.parsers.expat.ExpatError as exc:
         raise DblpParseError(xml.parsers.expat.errors.messages[exc.code],
                              input_offset(parser.ErrorByteIndex)) from None
@@ -375,7 +430,6 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
         raise DblpParseError(f"unusable encoding ({exc})",
                              input_offset(parser.ErrorByteIndex)) from None
     result.unmatched = mentions.unmatched()
-    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,8 +501,9 @@ class OverrideLedger:
 def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
     """Parse the override CSV: key,gender,year_from,year_to,venue,source_note.
 
-    Empty scope cells mean unscoped; gender must be F, M, or U; a year scope
-    needs year_from <= year_to; every entry must carry a source note; keys,
+    Empty scope cells mean unscoped; gender must be F, M, or U; a year is
+    ASCII digits, white space around them allowed, and a year scope needs
+    year_from <= year_to; every entry must carry a source note; keys,
     normalized on load, may not be empty or repeat within one scope. Each
     error is a CorpusFormatError naming its line.
     """
@@ -460,12 +515,17 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
         key, raw_gender, year_from, year_to, venue, note = row
         if raw_gender not in ("F", "M", "U"):
             raise CorpusFormatError(f"invalid gender {raw_gender!r}", lineno)
+        scope = []
+        for column, text in (("year_from", year_from), ("year_to", year_to)):
+            scope.append(_year(text))
+            if scope[-1] is None and text.strip():
+                raise CorpusFormatError(f"invalid {column} {text!r}", lineno)
         try:
             ledger._add(OverrideEntry(
                 key=full_name(key),
                 gender=Gender(raw_gender),
-                year_from=int(year_from) if year_from.strip() else None,
-                year_to=int(year_to) if year_to.strip() else None,
+                year_from=scope[0],
+                year_to=scope[1],
                 venue=venue.strip() or None,
                 source_note=note.strip(),
             ))
@@ -500,7 +560,7 @@ class _Mentions:
         self._may_end_key = may_end_key
         self._used: set[OverrideEntry] = set()
 
-    def mention(self, raw: str, venue: str, year: int) -> AuthorMention:
+    def mention(self, raw: str, venue: str, year: int) -> Mention:
         """The mention of raw in a record of this venue and year, carrying
         the gender of the first ledger entry whose key is its full-name key
         and whose scope holds the venue and year."""
@@ -512,7 +572,7 @@ class _Mentions:
             if entry is not None:
                 self._used.add(entry)
                 gender = entry.gender
-        return AuthorMention(raw, first_name, gender)
+        return raw, first_name, gender
 
     def unmatched(self) -> list[OverrideEntry]:
         """The ledger's entries that no mention matched, in ledger order."""
@@ -523,8 +583,11 @@ def warn_unmatched(entries: Iterable[OverrideEntry]) -> None:
     """Log a warning for each ledger entry that never matched, since a stale
     key usually means a normalization mismatch."""
     for entry in entries:
-        logger.warning("override entry never matched: %r (scope venue=%r years=%s-%s)",
-                       entry.key, entry.venue, entry.year_from, entry.year_to)
+        import logging  # loaded only when there is something to warn about
+
+        logging.getLogger(__name__).warning(
+            "override entry never matched: %r (scope venue=%r years=%s-%s)",
+            entry.key, entry.venue, entry.year_from, entry.year_to)
 
 
 def apply_overrides(records: Sequence[CorpusRecord],
@@ -532,20 +595,16 @@ def apply_overrides(records: Sequence[CorpusRecord],
     """Stamp override genders onto matching mentions; order is preserved.
 
     A mention matches when its normalized full name equals a ledger key and
-    the record falls inside the entry's venue/year scope. Ledger entries
-    that never matched anything are reported by :func:`warn_unmatched`.
-    Each distinct name token is folded once per call.
+    the record falls inside the entry's venue/year scope; a mention that
+    matches nothing keeps the override it had. Ledger entries that never
+    matched anything are reported by :func:`warn_unmatched`. Each distinct
+    name token is folded once per call.
     """
     mentions = _Mentions(ledger)
-    out = []
-    for record in records:
-        genders = [mentions.mention(mention.raw, record.venue,
-                                    record.publication_year).override_gender
-                   for mention in record.authors]
-        if any(gender is not None for gender in genders):
-            record = replace(record, authors=tuple(
-                mention if gender is None else replace(mention, override_gender=gender)
-                for mention, gender in zip(record.authors, genders)))
-        out.append(record)
+    out = _records(
+        (record_id, venue, year,
+         [(raw, first_name, mentions.mention(raw, venue, year)[2] or gender)
+          for raw, first_name, gender in authors])
+        for record_id, venue, year, authors in _rows(records))
     warn_unmatched(mentions.unmatched())
     return out

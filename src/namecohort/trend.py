@@ -17,9 +17,9 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .corpus import CorpusRecord
+from .corpus import CorpusRecord, Row, _rows
 from .model import Gender, ModelConfig, Thresholds, classify, cohort_lookup, lookup
 from .names import csv_text
 from .ssa import NameYearTable
@@ -122,12 +122,13 @@ def _value(gender: Gender | None, p: float | None,
     return None
 
 
-def _shares(records: Sequence[CorpusRecord],
+def _shares(rows: Iterable[Row],
             resolvers: Sequence[Callable[[str, int], float | None]],
             config: EstimatorConfig, thresholds: Thresholds
             ) -> list[list[tuple[int | str, float | None, int, int]]]:
     """For each resolver, (bin label, share, n_authors, n_identified) for each
-    non-empty bin, in order, from one pass over the mentions.
+    non-empty bin, in order, from one pass over the mentions of the corpus
+    rows (see :data:`corpus.Row`).
 
     A resolver maps (first_name, publication_year) to p(F), or None when
     unknown. Each
@@ -143,20 +144,18 @@ def _shares(records: Sequence[CorpusRecord],
                   for gender in (None, *Gender)}
     memo: dict[tuple[str, int], tuple[float | None, ...]] = {}
     bins: dict[tuple[str, int], list[tuple[float | None, ...]]] = {}
-    for record in records:
-        year = record.publication_year
+    for _, venue, year, mentions in rows:
         start = (year // config.bin_width) * config.bin_width
-        rows = bins.setdefault((record.venue if config.group_by_venue else "", start), [])
-        for mention in record.authors:
-            name = mention.first_name
-            if name is None or mention.override_gender is not None:
-                rows.append(unresolved[mention.override_gender])
+        values = bins.setdefault((venue if config.group_by_venue else "", start), [])
+        for _, name, override in mentions:
+            if name is None or override is not None:
+                values.append(unresolved[override])
                 continue
-            values = memo.get((name, year))
-            if values is None:
-                values = memo[name, year] = tuple(
+            value = memo.get((name, year))
+            if value is None:
+                value = memo[name, year] = tuple(
                     _value(None, resolve(name, year), config, thresholds) for resolve in resolvers)
-            rows.append(values)
+            values.append(value)
 
     encoding = config.display_encoding
     fill = (None if config.estimator is Estimator.CLASSIFIED_SHARE
@@ -164,10 +163,10 @@ def _shares(records: Sequence[CorpusRecord],
     series: list[list[tuple[int | str, float | None, int, int]]] = [[] for _ in resolvers]
     for venue, start in sorted(bins):
         label = f"{venue}:{start}" if config.group_by_venue else start
-        rows = bins[(venue, start)]
+        values = bins[(venue, start)]
         for i, shares in enumerate(series):
-            known = [row[i] for row in rows if row[i] is not None]
-            n_authors, identified = len(rows), len(known)
+            known = [value[i] for value in values if value[i] is not None]
+            n_authors, identified = len(values), len(known)
             if fill is not None:
                 share = math.fsum(known + [fill] * (n_authors - identified)) / n_authors
             else:
@@ -194,7 +193,13 @@ def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
     omitted, never zero-filled. Each distinct (first name, publication
     year) is looked up once.
     """
-    [shares] = _shares(records, [_cohort(table, functools.cache(table.span), model_config)],
+    return _annual_share(_rows(records), table, model_config, thresholds, config)
+
+
+def _annual_share(rows: Iterable[Row], table: NameYearTable, model_config: ModelConfig,
+                  thresholds: Thresholds, config: EstimatorConfig) -> list[TrendPoint]:
+    """:func:`annual_share` of corpus rows."""
+    [shares] = _shares(rows, [_cohort(table, functools.cache(table.span), model_config)],
                        config, thresholds)
     return [TrendPoint(bin=label, share_female=share, n_authors=n_authors,
                        n_identified=identified, n_unidentified=n_authors - identified,
@@ -215,11 +220,17 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
     serves both arms: the temporal arm looks up each distinct (first name,
     publication year) once, the static arm each distinct first name once.
     """
+    return _bias_report(_rows(records), table, model_config, reference_year)
+
+
+def _bias_report(rows: Iterable[Row], table: NameYearTable, model_config: ModelConfig,
+                 reference_year: int) -> BiasReport:
+    """:func:`present_bias_report` of corpus rows."""
     spans = functools.cache(table.span)
     static = functools.cache(lambda name: lookup(table, spans(name), reference_year,
                                                  model_config.max_fallback_distance)[0])
     temporal_shares, static_shares = _shares(
-        records, [_cohort(table, spans, model_config), lambda name, _: static(name)],
+        rows, [_cohort(table, spans, model_config), lambda name, _: static(name)],
         EstimatorConfig(), Thresholds())
     points = tuple(BiasPoint(bin=year, temporal_share=t_share, static_share=s_share,
                              gap=s_share - t_share)

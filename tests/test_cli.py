@@ -338,23 +338,30 @@ class TestAnalyze:
                                            "1971,0.5,2,2,0,classified-share"]
 
     def test_skipped_line_comes_before_unmatched_ledger_warnings(self, tmp_path):
-        corpus = tmp_path / "c.csv"
-        corpus.write_text("record_id,venue,year,authors\n"
-                          "a1,X,80,Jean Bartik\n"
-                          "a2,X,1980,Mary A\n")
+        csv_corpus = tmp_path / "c.csv"
+        csv_corpus.write_text("record_id,venue,year,authors\n"
+                              "a1,X,80,Jean Bartik\n"
+                              "a2,X,1980,Mary A\n")
+        xml_corpus = tmp_path / "c.xml"
+        xml_corpus.write_text('<dblp><article key="a1"><author>Jean Bartik</author>'
+                              '<year>80</year></article><article key="a2">'
+                              '<author>Mary A</author><year>1980</year></article></dblp>')
         ledger = tmp_path / "l.csv"
         ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
                           "jean bartik,F,,,,bio\nmary a,F,,,,bio\nann b,M,,,,obit\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "namecohort.cli", "analyze", "--corpus", str(corpus),
-             "--overrides", str(ledger)],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parent.parent)))
-        assert proc.stderr.splitlines() == [
-            f"skipped 1 malformed entries in {corpus}",
-            "override entry never matched: 'jean bartik' (scope venue=None years=None-None)",
-            "override entry never matched: 'ann b' (scope venue=None years=None-None)",
-        ]
+        for corpus in (csv_corpus, xml_corpus):
+            for command in (["analyze"], ["bias-report", "--reference-year", "2000"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "namecohort.cli", *command, "--corpus", str(corpus),
+                     "--overrides", str(ledger)],
+                    capture_output=True, text=True, check=True,
+                    env=dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parent.parent)))
+                assert proc.stderr.splitlines() == [
+                    f"skipped 1 malformed entries in {corpus}",
+                    "override entry never matched: 'jean bartik' (scope venue=None "
+                    "years=None-None)",
+                    "override entry never matched: 'ann b' (scope venue=None years=None-None)",
+                ]
 
     @pytest.mark.parametrize("strict", [[], ["--strict"]])
     def test_corpus_error_wins_over_ledger_error(self, capsys, tmp_path, strict):
@@ -368,22 +375,32 @@ class TestAnalyze:
         for corpus, error in ((bad_header, "error: line 1: expected header"),
                               (bad_xml, "error: byte 48: mismatched tag"),
                               (tmp_path / "missing.csv", "error: [Errno 2]")):
-            code, stdout, stderr = run(capsys, "analyze", "--corpus", str(corpus),
-                                       "--overrides", str(ledger), *strict)
-            assert (code, stdout) == (1, "")
-            assert stderr.startswith(error) and stderr.count("\n") == 1
+            # ... and over a bad setting
+            for command in (["analyze"], ["analyze", "--bin-width", "0"],
+                            ["bias-report", "--reference-year", "2000", "--shift", "-1"]):
+                code, stdout, stderr = run(capsys, *command, "--corpus", str(corpus),
+                                           "--overrides", str(ledger), *strict)
+                assert (code, stdout) == (1, "")
+                assert stderr.startswith(error) and stderr.count("\n") == 1
 
     def test_ledger_error_follows_the_skipped_line(self, capsys, tmp_path):
-        corpus = tmp_path / "c.csv"
-        corpus.write_text("record_id,venue,year,authors\na1,X,80,Bad\na2,X,1980,Mary A\n")
+        csv_corpus = tmp_path / "c.csv"
+        csv_corpus.write_text("record_id,venue,year,authors\na1,X,80,Bad\na2,X,1980,Mary A\n")
+        xml_corpus = tmp_path / "c.xml"
+        xml_corpus.write_text('<dblp><article key="a1"><author>Bad</author><year>80</year>'
+                              '</article><article key="a2"><author>Mary A</author>'
+                              '<year>1980</year></article></dblp>')
         ledger = tmp_path / "l.csv"
         ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
                           "mary a,Q,,,,bio\n")
-        code, stdout, stderr = run(capsys, "analyze", "--corpus", str(corpus),
-                                   "--overrides", str(ledger))
-        assert (code, stdout) == (1, "")
-        assert stderr.splitlines() == [f"skipped 1 malformed entries in {corpus}",
-                                       "error: line 2: invalid gender 'Q'"]
+        for corpus in (csv_corpus, xml_corpus):
+            for command in (["analyze"], ["bias-report", "--reference-year", "2000"],
+                            ["analyze", "--bin-width", "0"]):  # a bad setting comes last
+                code, stdout, stderr = run(capsys, *command, "--corpus", str(corpus),
+                                           "--overrides", str(ledger))
+                assert (code, stdout) == (1, "")
+                assert stderr.splitlines() == [f"skipped 1 malformed entries in {corpus}",
+                                               "error: line 2: invalid gender 'Q'"]
 
     def test_strict_mode_aborts_on_dblp_publication(self, capsys, tmp_path):
         xml = tmp_path / "c.xml"

@@ -556,3 +556,76 @@ def test_dblp_mixed_content_author_concatenates():
            b'<year>1980</year></article></dblp>')
     [record] = nc.parse_dblp_subset(_io.BytesIO(xml)).records
     assert record.authors[0].raw == "Jean Sammet"
+
+
+def test_serialize_rejects_an_author_holding_the_separator():
+    xml = b'<dblp><article key="k"><author>Ann|Bo Lee</author><year>1990</year></article></dblp>'
+    records = nc.parse_dblp_subset(io.BytesIO(xml)).records
+    assert [m.raw for m in records[0].authors] == ["Ann|Bo Lee"]
+    with pytest.raises(ValueError, match=r"record 'k': author 'Ann\|Bo Lee'"):
+        nc.serialize_corpus_csv(records)
+
+
+# int() takes each of these as 1990 (or -1990); a year cell takes only ASCII digits.
+NOT_ASCII_DIGIT_YEARS = ["1_990", "+1990", "-1990", "١٩٩٠",
+                         "１９９０", "¹990"]
+
+
+@pytest.mark.parametrize("year", NOT_ASCII_DIGIT_YEARS)
+def test_corpus_year_cells_take_only_ascii_digits(year):
+    csv_text = f"record_id,venue,year,authors\na1,X,1990,Ann Lee\na2,X,{year},Bo Lee\n"
+    xml = (f'<dblp><article key="a1"><author>Ann Lee</author><year>1990</year></article>'
+           f'<article key="a2"><author>Bo Lee</author><year>{year}</year></article>'
+           f'</dblp>').encode("utf-8")
+    csv_result = nc.parse_corpus_csv(io.StringIO(csv_text), strict=False)
+    dblp_result = nc.parse_dblp_subset(io.BytesIO(xml))
+    for result, problem in ((csv_result, f"line 3: invalid year {year!r}"),
+                            (dblp_result, f"a2: invalid year {year!r}")):
+        assert [r.record_id for r in result.records] == ["a1"]
+        assert (result.skipped, result.problems) == (1, [problem])
+    with pytest.raises(CorpusFormatError, match="line 3: invalid year"):
+        nc.parse_corpus_csv(io.StringIO(csv_text))
+    with pytest.raises(DblpParseError, match="a2: invalid year"):
+        nc.parse_dblp_subset(io.BytesIO(xml), strict=True)
+    header = "key,gender,year_from,year_to,venue,source_note\nann lee,F,,,,note\n"
+    for row, column in ((f"bo lee,F,{year},,,note", "year_from"),
+                        (f"bo lee,F,,{year},,note", "year_to")):
+        with pytest.raises(CorpusFormatError, match=f"line 3: invalid {column}") as excinfo:
+            nc.read_override_ledger(io.StringIO(f"{header}{row}\n"))
+        assert excinfo.value.lineno == 3
+
+
+def test_year_cells_allow_white_space_around_the_digits():
+    [record] = nc.parse_corpus_csv(io.StringIO(
+        "record_id,venue,year,authors\na1,X,\t1990 ,Ann Lee\n")).records
+    assert record.publication_year == 1990
+    [record] = nc.parse_dblp_subset(io.BytesIO(
+        b'<dblp><article key="a"><author>Ann Lee</author><year>\n1990 </year></article>'
+        b'</dblp>')).records
+    assert record.publication_year == 1990
+    [entry] = nc.read_override_ledger(io.StringIO(
+        "key,gender,year_from,year_to,venue,source_note\nann lee,F, 1980,1990 ,,note\n")
+    ).entries
+    assert (entry.year_from, entry.year_to) == (1980, 1990)
+
+
+class _CountingReader(io.BytesIO):
+    """A byte stream that notes how far it has been read."""
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.read_to = self.tell()
+        return data
+
+
+def test_dblp_rows_stream_out_chunk_by_chunk():
+    from namecohort.corpus import CorpusParseResult, _parse_dblp
+
+    article = b'<article key="k"><author>Ann Lee</author><year>1990</year></article>'
+    xml = b"<dblp>" + article * 4000 + b"</dblp>"
+    assert len(xml) > 4 * (1 << 16)
+    stream = _CountingReader(xml)
+    rows = _parse_dblp(stream, False, None, CorpusParseResult())
+    assert next(rows) == ("k", "", 1990, [("Ann Lee", "ann", None)])
+    assert stream.read_to <= 2 * (1 << 16)
+    assert 1 + sum(1 for _ in rows) == 4000

@@ -51,24 +51,56 @@ def modules_after(tmp_path: Path, argv: list[str], prefix: str = "namecohort") -
     return set(modules)
 
 
-@pytest.mark.parametrize("argv", [
-    ["ingest", FIXTURE_DIR, "--out", "table.bin"],
-    ["pf", "Leslie", "--year", "1950", "--out", "pf.json"],
-    ["shifts", "--from", "1925", "--to", "1975", "--top", "3", "--out", "top.csv"],
-    ["shifts", "--from", "1925", "--to", "1975", "--unstable", "--net", "--out", "net.json"],
+TABLE_MODULES = {"namecohort", "namecohort.cli", "namecohort.model", "namecohort.names",
+                 "namecohort.ssa"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["ingest", FIXTURE_DIR, "--out", "table.bin"], set()),
+    (["pf", "Leslie", "--year", "1950", "--out", "pf.json"], set()),
+    (["shifts", "--from", "1925", "--to", "1975", "--top", "3", "--out", "top.csv"],
+     {"namecohort.shifts"}),
+    (["shifts", "--from", "1925", "--to", "1975", "--unstable", "--net", "--out", "net.json"],
+     {"namecohort.shifts"}),
 ], ids=["ingest", "pf", "shifts-top", "shifts-unstable"])
-def test_table_commands_load_neither_corpus_nor_trend_nor_sampling(tmp_path, argv):
-    assert modules_after(tmp_path, argv) == {
-        "namecohort", "namecohort.cli", "namecohort.model", "namecohort.names",
-        "namecohort.shifts", "namecohort.ssa"}
+def test_table_commands_load_neither_corpus_nor_trend_nor_sampling(tmp_path, argv, extra):
+    assert modules_after(tmp_path, argv) == TABLE_MODULES | extra
 
 
 def test_corpus_commands_load_what_they_use(tmp_path):
     corpus = tmp_path / "c.csv"
     corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")
-    loaded = modules_after(tmp_path, ["analyze", "--corpus", str(corpus), "--out", "s.csv"])
-    assert {"namecohort.corpus", "namecohort.trend"} <= loaded
-    assert "namecohort.sampling" not in loaded
+    for command in (["analyze"], ["bias-report", "--reference-year", "2000"]):
+        loaded = modules_after(tmp_path, [*command, "--corpus", str(corpus), "--out", "s.csv"])
+        assert loaded == TABLE_MODULES | {"namecohort.corpus", "namecohort.trend"}
+
+
+def test_only_manifests_with_inputs_load_hashlib(tmp_path):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")
+    for argv in (["pf", "Leslie", "--year", "1950"],
+                 ["pf", "Leslie", "--year", "1950", "--out", "pf.json"],
+                 ["shifts", "--from", "1925", "--to", "1975", "--top", "3"],
+                 ["analyze", "--corpus", str(corpus)]):
+        assert not modules_after(tmp_path, argv, prefix="hashlib"), argv
+    assert "hashlib" in modules_after(
+        tmp_path, ["analyze", "--corpus", str(corpus), "--out", "s.csv"], prefix="hashlib")
+
+
+def test_only_unmatched_ledger_entries_load_logging(tmp_path):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")
+    header = "key,gender,year_from,year_to,venue,source_note\n"
+    matched, unmatched = tmp_path / "matched.csv", tmp_path / "unmatched.csv"
+    matched.write_text(header + "mary a,F,,,,note\n")
+    unmatched.write_text(header + "mary a,F,,,,note\nzoe q,F,,,,note\n")
+    analyze = ["analyze", "--corpus", str(corpus), "--out", "s.csv"]
+    for argv in (["pf", "Leslie", "--year", "1950"],
+                 ["shifts", "--from", "1925", "--to", "1975", "--unstable"],
+                 analyze, [*analyze, "--overrides", str(matched)]):
+        assert not modules_after(tmp_path, argv, prefix="logging"), argv
+    assert "logging" in modules_after(tmp_path, [*analyze, "--overrides", str(unmatched)],
+                                      prefix="logging")
 
 
 def test_csv_corpus_commands_do_not_load_expat(tmp_path):
@@ -109,3 +141,11 @@ def test_parser_estimator_choices_are_the_estimators():
     from namecohort import trend
     assert cli.ESTIMATORS == tuple(e.value for e in trend.Estimator)
     assert cli.ESTIMATORS[0] == trend.Estimator.WEIGHTED_MEAN.value
+
+
+def test_parser_sample_years_default_is_the_shifts_default():
+    from namecohort import shifts
+    assert cli.SAMPLE_YEARS == shifts.DEFAULT_SAMPLE_YEARS
+    args = cli.build_parser().parse_args(["shifts", "--from", "1925", "--to", "1975",
+                                          "--unstable"])
+    assert args.sample_years == shifts.DEFAULT_SAMPLE_YEARS
