@@ -12,7 +12,7 @@ import csv
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .model import Gender
 from .names import (_author_tokens, _first_name, _full_key, _key_part, csv_text,
@@ -237,116 +237,17 @@ _STREAM_WRAPPER_CLOSE = b"</namecohort-stream>"
 _CHUNK_SIZE = 1 << 16
 
 
-class _DblpHandler:
-    """Expat callbacks holding at most one publication element in memory.
-
-    Depth is tracked inside the active publication so only direct children
-    are captured and a stray nested publication tag cannot close the outer
-    element early.
-    """
-
-    def __init__(self, result: CorpusParseResult, strict: bool,
-                 offset: Callable[[], int], mentions: _Mentions):
-        self.result = result
-        self.rows: list[Row] = []  # finished since the caller last took them
-        self._strict = strict
-        self._offset = offset  # byte offset of the event being handled
-        self._mentions = mentions
-        self._start = 0  # byte offset of the current publication's start tag
-        self._current: dict | None = None
-        self._depth = 0
-        self._text_tag: str | None = None
-        self._chunks: list[str] = []
-
-    def start_element(self, tag: str, attrs: dict[str, str]) -> None:
-        if self._current is None:
-            if tag in _PUBLICATION_TAGS:
-                self._current = {"tag": tag, "key": attrs.get("key"),
-                                 "authors": [], "year": None, "venue": ""}
-                self._start = self._offset()
-                self._depth = 0
-        else:
-            self._depth += 1
-            if self._depth == 1 and tag in _TEXT_TAGS:
-                self._text_tag = tag
-                self._chunks = []
-
-    def characters(self, data: str) -> None:
-        if self._text_tag is not None:
-            self._chunks.append(data)
-
-    def skipped_entity(self, name: str, is_parameter_entity: bool) -> None:
-        """A reference to an entity the unread external DTD would declare:
-        its text is that of the HTML named entity."""
-        import html.entities
-
-        text = html.entities.html5.get(f"{name};")
-        if is_parameter_entity or text is None:
-            raise DblpParseError(f"undefined entity &{name};", self._offset())
-        self.characters(text)
-
-    def end_element(self, tag: str) -> None:
-        if self._current is None:
-            return
-        if self._depth == 0:
-            self._finish()
-            return
-        if self._depth == 1 and tag == self._text_tag:
-            text = "".join(self._chunks).strip()
-            if tag == "author":
-                self._current["authors"].append(text)
-            elif tag == "year":
-                self._current["year"] = text
-            else:  # booktitle / journal
-                self._current["venue"] = text
-            self._text_tag = None
-            self._chunks = []
-        self._depth -= 1
-
-    def _finish(self) -> None:
-        pub = self._current
-        self._current = None
-        self._text_tag = None
-        self._chunks = []
-        key = pub["key"]
-        if not key:
-            self._skip(f"<{pub['tag']}> without key attribute")
-            return
-        raw_year = pub["year"]
-        if raw_year is None:
-            self._skip(f"{key}: missing year")
-            return
-        year = _year(raw_year)
-        if year is None:
-            self._skip(f"{key}: invalid year {raw_year!r}")
-            return
-        if not (MIN_PLAUSIBLE_YEAR <= year <= MAX_PLAUSIBLE_YEAR):
-            self._skip(f"{key}: year {year} out of range")
-            return
-        authors = [a for a in pub["authors"] if a]
-        if not authors:
-            self._skip(f"{key}: no authors")
-            return
-        venue = pub["venue"]
-        self.rows.append((key, venue, year,
-                          [self._mentions.mention(a, venue, year) for a in authors]))
-
-    def _skip(self, problem: str) -> None:
-        if self._strict:
-            raise DblpParseError(problem, self._start)
-        self.result.skipped += 1
-        self.result.problems.append(problem)
-
-
 def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
                       ledger: OverrideLedger | None = None) -> CorpusParseResult:
     """Stream-parse DBLP-style XML: article/inproceedings elements with a key
     attribute, repeated author children, a year, and an optional venue
     (booktitle or journal). Everything else is ignored.
 
-    Besides the records returned, memory holds a single publication element
-    and one memo entry per distinct name token in this call (each is
-    normalized once), regardless of file size. A ledger, if given, is
+    Besides the records returned, memory holds at most one publication's
+    text (character data is dropped where an author, year or venue child
+    starts and at every element start outside a publication) and one memo
+    entry per distinct name token in this call (each is normalized once),
+    regardless of file size. A ledger, if given, is
     applied as :func:`parse_corpus_csv` applies it. Publications missing a
     key, a usable year (ASCII digits, white space around them allowed), or
     any author are skipped and tallied; in strict
@@ -372,10 +273,20 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
     """The rows of :func:`parse_dblp_subset`, those finished in each 64 KiB
     chunk once it is parsed; skips are tallied in result as they happen,
     and the ledger's unmatched entries stored in it once the stream is
-    used up."""
+    used up.
+
+    The expat handlers are closures over this call's state. depth is 0
+    outside a publication, 1 at its start tag and 2 in its direct children
+    (more below them), so only direct children are captured and a nested
+    publication tag cannot close the outer element early. All character
+    data goes straight into chunks, which is cleared where a text tag
+    starts and at every element start outside a publication, so it never
+    holds more than one publication's text.
+    """
     import xml.parsers.expat
 
     mentions = _Mentions(ledger)
+    mention = mentions.mention
     head = stream.read(_CHUNK_SIZE)
     text_mode = isinstance(head, str)
     if text_mode:
@@ -390,19 +301,87 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
         """The input's byte offset at the parser's index, wrapper excluded."""
         return index if index < prolog else max(prolog, index - len(_STREAM_WRAPPER_OPEN))
 
-    handler = _DblpHandler(result, strict, lambda: input_offset(parser.CurrentByteIndex),
-                           mentions)
-    parser.buffer_text = True
-    parser.SetParamEntityParsing(xml.parsers.expat.XML_PARAM_ENTITY_PARSING_NEVER)
-    parser.StartElementHandler = handler.start_element
-    parser.EndElementHandler = handler.end_element
-    parser.CharacterDataHandler = handler.characters
-    parser.SkippedEntityHandler = handler.skipped_entity
+    rows: list[Row] = []  # finished since the caller last took them
+    chunks: list[str] = []
+    authors: list[str] = []
+    depth = 0
+    tag = key = year = None
+    venue = ""
+    start = 0  # the parser's byte index at the current publication's start tag
+
+    def start_element(name: str, attrs: dict[str, str]) -> None:
+        nonlocal depth, tag, key, year, venue, start
+        if depth:
+            depth += 1
+            if depth == 2 and name in _TEXT_TAGS:
+                chunks.clear()
+            return
+        chunks.clear()
+        if name in _PUBLICATION_TAGS:
+            depth = 1
+            tag, key, year, venue, start = name, attrs.get("key"), None, "", parser.CurrentByteIndex
+            authors.clear()
+
+    def end_element(name: str) -> None:
+        nonlocal depth, year, venue
+        if depth == 2:
+            depth = 1
+            if name in _TEXT_TAGS:
+                text = "".join(chunks).strip()
+                if name == "author":
+                    authors.append(text)
+                elif name == "year":
+                    year = text
+                else:  # booktitle / journal
+                    venue = text
+        elif depth > 2:
+            depth -= 1
+        elif depth:
+            depth = 0
+            finish()
+
+    def finish() -> None:
+        number = None if year is None else _year(year)
+        names = [a for a in authors if a]
+        if not key:
+            problem = f"<{tag}> without key attribute"
+        elif year is None:
+            problem = f"{key}: missing year"
+        elif number is None:
+            problem = f"{key}: invalid year {year!r}"
+        elif not (MIN_PLAUSIBLE_YEAR <= number <= MAX_PLAUSIBLE_YEAR):
+            problem = f"{key}: year {number} out of range"
+        elif not names:
+            problem = f"{key}: no authors"
+        else:
+            rows.append((key, venue, number, [mention(a, venue, number) for a in names]))
+            return
+        if strict:
+            raise DblpParseError(problem, input_offset(start))
+        result.skipped += 1
+        result.problems.append(problem)
+
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        """A reference to an entity the unread external DTD would declare:
+        its text is that of the HTML named entity."""
+        import html.entities
+
+        text = html.entities.html5.get(f"{name};")
+        if is_parameter_entity or text is None:
+            raise DblpParseError(f"undefined entity &{name};",
+                                 input_offset(parser.CurrentByteIndex))
+        chunks.append(text)
 
     def reject_entity_decl(*_args):
         raise DblpParseError("entity declarations are not supported",
                              input_offset(parser.CurrentByteIndex))
 
+    parser.buffer_text = True
+    parser.SetParamEntityParsing(xml.parsers.expat.XML_PARAM_ENTITY_PARSING_NEVER)
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    parser.CharacterDataHandler = chunks.append
+    parser.SkippedEntityHandler = skipped_entity
     parser.EntityDeclHandler = reject_entity_decl
     parser.ExternalEntityRefHandler = lambda *a: 0
 
@@ -412,13 +391,13 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
         chunk = head[prolog:]
         while chunk:
             parser.Parse(chunk, False)
-            yield from handler.rows
-            handler.rows.clear()
+            yield from rows
+            rows.clear()
             chunk = stream.read(_CHUNK_SIZE)
             if isinstance(chunk, str):
                 chunk = chunk.encode("utf-8", "surrogatepass")
         parser.Parse(_STREAM_WRAPPER_CLOSE, True)
-        yield from handler.rows
+        yield from rows
     except xml.parsers.expat.ExpatError as exc:
         raise DblpParseError(xml.parsers.expat.errors.messages[exc.code],
                              input_offset(parser.ErrorByteIndex)) from None

@@ -122,19 +122,23 @@ def _value(gender: Gender | None, p: float | None,
     return None
 
 
-def _shares(rows: Iterable[Row],
-            resolvers: Sequence[Callable[[str, int], float | None]],
+def _shares(rows: Iterable[Row], table: NameYearTable,
+            resolvers: Sequence[Callable[[tuple[int, int], int], float | None]],
             config: EstimatorConfig, thresholds: Thresholds
             ) -> list[list[tuple[int | str, float | None, int, int]]]:
     """For each resolver, (bin label, share, n_authors, n_identified) for each
     non-empty bin, in order, from one pass over the mentions of the corpus
     rows (see :data:`corpus.Row`).
 
-    A resolver maps (first_name, publication_year) to p(F), or None when
-    unknown. Each
-    distinct pair is resolved and valued once per call; overridden and
-    initial-only mentions take the value of their override (or none), since
-    an override outranks any estimate. The weighted mean fills unidentified
+    A resolver maps (span, publication_year) to p(F), or None when unknown,
+    where span is the first name's slice of the table columns. Each distinct
+    first name's span, with the year memo that the names of that span share, is
+    fetched once per call, and each distinct (span, year) resolved and valued
+    once: every name absent from the table has the span (0, 0), so the absent
+    names of one year cost one lookup, and the memo grows with the table names
+    and years met, not with the distinct names of the corpus. Overridden and
+    initial-only mentions take the value of their override (or none), since an
+    override outranks any estimate. The weighted mean fills unidentified
     mentions with unknown_value (the display encoding with its own unknown
     value) and divides by n_authors; the classified share drops them and
     divides by n_identified. fsum is exact, so the order of the fill values
@@ -142,7 +146,14 @@ def _shares(rows: Iterable[Row],
     """
     unresolved = {gender: (_value(gender, None, config, thresholds),) * len(resolvers)
                   for gender in (None, *Gender)}
-    memo: dict[tuple[str, int], tuple[float | None, ...]] = {}
+    memos: dict[tuple[int, int], dict[int, tuple[float | None, ...]]] = {}
+
+    @functools.cache
+    def memo_of(name: str) -> tuple[tuple[int, int], dict[int, tuple[float | None, ...]]]:
+        """The name's span and the year memo of that span."""
+        span = table.span(name)
+        return span, memos.setdefault(span, {})
+
     bins: dict[tuple[str, int], list[tuple[float | None, ...]]] = {}
     for _, venue, year, mentions in rows:
         start = (year // config.bin_width) * config.bin_width
@@ -151,10 +162,11 @@ def _shares(rows: Iterable[Row],
             if name is None or override is not None:
                 values.append(unresolved[override])
                 continue
-            value = memo.get((name, year))
+            span, memo = memo_of(name)
+            value = memo.get(year)
             if value is None:
-                value = memo[name, year] = tuple(
-                    _value(None, resolve(name, year), config, thresholds) for resolve in resolvers)
+                value = memo[year] = tuple(
+                    _value(None, resolve(span, year), config, thresholds) for resolve in resolvers)
             values.append(value)
 
     encoding = config.display_encoding
@@ -175,11 +187,10 @@ def _shares(rows: Iterable[Row],
     return series
 
 
-def _cohort(table: NameYearTable, spans: Callable[[str], tuple[int, int]],
-            model_config: ModelConfig) -> Callable[[str, int], float | None]:
-    """The p(F) of :func:`shifted_lookup` over a per-call memo of each first
-    name's span."""
-    return lambda name, year: cohort_lookup(table, spans(name), year, model_config)[0]
+def _cohort(table: NameYearTable,
+            model_config: ModelConfig) -> Callable[[tuple[int, int], int], float | None]:
+    """The p(F) of :func:`shifted_lookup` of a span of the table."""
+    return lambda span, year: cohort_lookup(table, span, year, model_config)[0]
 
 
 def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
@@ -190,8 +201,9 @@ def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
 
     Records should already carry any qualitative overrides; an override
     outranks the table estimate for its mention. Bins with no records are
-    omitted, never zero-filled. Each distinct (first name, publication
-    year) is looked up once.
+    omitted, never zero-filled. Each distinct (table span of the first
+    name, publication year) is looked up once, so the first names absent
+    from the table cost one lookup per publication year.
     """
     return _annual_share(_rows(records), table, model_config, thresholds, config)
 
@@ -199,8 +211,7 @@ def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
 def _annual_share(rows: Iterable[Row], table: NameYearTable, model_config: ModelConfig,
                   thresholds: Thresholds, config: EstimatorConfig) -> list[TrendPoint]:
     """:func:`annual_share` of corpus rows."""
-    [shares] = _shares(rows, [_cohort(table, functools.cache(table.span), model_config)],
-                       config, thresholds)
+    [shares] = _shares(rows, table, [_cohort(table, model_config)], config, thresholds)
     return [TrendPoint(bin=label, share_female=share, n_authors=n_authors,
                        n_identified=identified, n_unidentified=n_authors - identified,
                        estimator=config.estimator)
@@ -217,8 +228,10 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
     built from present-day tables. Both arms use the weighted-mean
     convention with unknown = 0.5, and overrides apply identically, so any
     gap comes purely from the lookup year. One pass over the mentions
-    serves both arms: the temporal arm looks up each distinct (first name,
-    publication year) once, the static arm each distinct first name once.
+    serves both arms: the temporal arm looks up each distinct (table span
+    of the first name, publication year) once, the static arm each
+    distinct span once, so the first names absent from the table cost one
+    temporal lookup per publication year and one static lookup in all.
     """
     return _bias_report(_rows(records), table, model_config, reference_year)
 
@@ -226,11 +239,10 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
 def _bias_report(rows: Iterable[Row], table: NameYearTable, model_config: ModelConfig,
                  reference_year: int) -> BiasReport:
     """:func:`present_bias_report` of corpus rows."""
-    spans = functools.cache(table.span)
-    static = functools.cache(lambda name: lookup(table, spans(name), reference_year,
+    static = functools.cache(lambda span: lookup(table, span, reference_year,
                                                  model_config.max_fallback_distance)[0])
     temporal_shares, static_shares = _shares(
-        rows, [_cohort(table, spans, model_config), lambda name, _: static(name)],
+        rows, table, [_cohort(table, model_config), lambda span, _: static(span)],
         EstimatorConfig(), Thresholds())
     points = tuple(BiasPoint(bin=year, temporal_share=t_share, static_share=s_share,
                              gap=s_share - t_share)

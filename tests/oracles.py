@@ -6,16 +6,19 @@ agreement is meaningful. Trend oracles take the corpus as plain tuples:
 [(venue, publication_year, [(first_name or None, "F"/"M"/"U" or None), ...])].
 The snapshot oracle packs the v3 table snapshot byte by byte with struct.
 The name-key oracles normalize an author string as a whole and match an
-override ledger by scanning every entry for every mention.
+override ledger by scanning every entry for every mention. The DBLP oracle
+reads a whole document into an ElementTree and walks it.
 """
 
 from __future__ import annotations
 
+import html.entities
 import itertools
 import random
 import re
 import struct
 import unicodedata
+import xml.etree.ElementTree as ET
 import zlib
 from fractions import Fraction
 
@@ -318,3 +321,55 @@ def oracle_apply_overrides(corpus: list, ledger: list) -> tuple[list, list]:
                  for i, (key, _, year_from, year_to, scope) in enumerate(keyed)
                  if i not in used]
     return out, unmatched
+
+
+_HTML_ENTITIES = {name[:-1]: text for name, text in html.entities.html5.items()
+                  if name.endswith(";")}
+
+
+def oracle_dblp(document: bytes) -> list:
+    """The publications of a whole DBLP document, by ElementTree.
+
+    A publication is an article or inproceedings element with no such
+    element above it. Its direct author, year, booktitle and journal
+    children give their whole text, nested elements' included, stripped;
+    the last year and the last venue count. Named entities resolve as HTML
+    entities. Returns, for each publication in document order, either
+    (key, venue, year, [raw author, ...]) or, when it is skipped, its
+    problem as a string.
+    """
+    parser = ET.XMLParser()
+    parser.entity.update(_HTML_ENTITIES)
+    parser.feed(document)
+    publications = []
+
+    def visit(element):
+        if element.tag not in ("article", "inproceedings"):
+            for child in element:
+                visit(child)
+            return
+        key, authors, year, venue = element.get("key"), [], None, ""
+        for child in element:
+            text = "".join(child.itertext()).strip()
+            if child.tag == "author":
+                authors.append(text)
+            elif child.tag == "year":
+                year = text
+            elif child.tag in ("booktitle", "journal"):
+                venue = text
+        authors = [author for author in authors if author]
+        if not key:
+            publications.append(f"<{element.tag}> without key attribute")
+        elif year is None:
+            publications.append(f"{key}: missing year")
+        elif not re.fullmatch("[0-9]+", year):
+            publications.append(f"{key}: invalid year {year!r}")
+        elif not 1900 <= int(year) <= 2100:
+            publications.append(f"{key}: year {int(year)} out of range")
+        elif not authors:
+            publications.append(f"{key}: no authors")
+        else:
+            publications.append((key, venue, int(year), authors))
+
+    visit(parser.close())
+    return publications

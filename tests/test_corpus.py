@@ -497,6 +497,21 @@ class TestOverrides:
         assert plain.unmatched == []
         assert plain.records[0].authors[0].override_gender is None
 
+    def test_dblp_homonym_number_stays_in_the_full_name_key(self):
+        # DBLP numbers homonyms ("Wei Wang 0001"): the number marks a distinct
+        # person, so it stays in the key and a key without it does not match.
+        assert nc.normalize_full_name("Wei Wang 0001") == "wei wang 0001"
+        ledger = nc.read_override_ledger(io.StringIO(
+            "key,gender,year_from,year_to,venue,source_note\n"
+            "Wei Wang 0001,F,,,,homepage\nWei Wang,M,,,,other\n"))
+        result = nc.parse_dblp_subset(io.BytesIO(
+            b'<dblp><article key="a"><author>Wei Wang 0001</author><author>Wei Wang 0002'
+            b'</author><year>2010</year></article></dblp>'), ledger=ledger)
+        [record] = result.records
+        assert [(m.first_name, m.override_gender) for m in record.authors] == [
+            ("wei", Gender.FEMALE), ("wei", None)]
+        assert [e.key for e in result.unmatched] == ["wei wang"]
+
     def test_author_order_preserved_everywhere(self):
         record = make_record(authors=("Zoe A", "Jean Sammet", "Mia C"))
         ledger = OverrideLedger([OverrideEntry("jean sammet", Gender.FEMALE,

@@ -283,6 +283,28 @@ def test_each_distinct_key_is_looked_up_once(fixture_table, monkeypatch):
     assert sorted(years) == sorted([year - 30 for _, year in plain] + [2000] * len(static))
 
 
+@pytest.mark.parametrize("years", [(1990, 1990), (1990, 1991)], ids=["one-year", "two-years"])
+def test_names_absent_from_the_table_share_one_lookup_per_year(fixture_table, monkeypatch,
+                                                               years):
+    # Both given names are absent from the table, so both have its empty
+    # span: the memo keyed by (span, year) looks them up once per year.
+    assert fixture_table.span("zzyzx") == fixture_table.span("qwxqq") == (0, 0)
+    bisected = []
+    bisect = model.bisect_left
+    monkeypatch.setattr(model, "bisect_left", lambda column, year, *span:
+                        bisected.append(year) or bisect(column, year, *span))
+    records = [rec(years[0], "Zzyzx A", rid="a"), rec(years[1], "Qwxqq B", rid="b")]
+    temporal = sorted({year - 30 for year in years})
+    for config in (nc.EstimatorConfig(),
+                   nc.EstimatorConfig(estimator=Estimator.CLASSIFIED_SHARE)):
+        bisected.clear()
+        nc.annual_share(records, fixture_table, config=config)
+        assert sorted(bisected) == temporal
+    bisected.clear()
+    nc.present_bias_report(records, fixture_table, reference_year=2000)
+    assert sorted(bisected) == temporal + [2000]
+
+
 def random_plain_corpus(rng, counts):
     """A corpus as the oracles' plain tuples: names in the table or absent
     from it, initial-only mentions, and F/M/U overrides.
