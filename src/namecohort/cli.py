@@ -36,9 +36,15 @@ T = TypeVar("T")
 
 
 def _sha256(path: Path) -> str:
+    """The digest of the file, read in chunks of 1 MiB so that hashing a
+    large corpus does not hold it in memory."""
     import hashlib  # only manifests need it
 
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for chunk in iter(lambda: stream.read(1 << 20), b""):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 def build_manifest(args: argparse.Namespace, inputs: list[Path | None]) -> dict:
@@ -225,7 +231,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         ids = [line.strip() for line in
                Path(args.ids_file).read_text(encoding="utf-8").splitlines()
                if line.strip()]
-    population = args.population_size if args.population_size else (
+    population = args.population_size if args.population_size is not None else (
         len(ids) if ids is not None else None)
     if population is None:
         print("error: provide --population-size or --ids-file", file=sys.stderr)
@@ -261,7 +267,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ),
         model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male),
         _model_config(args)))
-    points = trend._annual_share(rows, table, model_config, thresholds, config)
+    points = trend.annual_share(rows, table, model_config, thresholds, config)
     data = trend.emit_series(points, args.format)
     _write_output(args, data,
                   lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
@@ -273,8 +279,8 @@ def cmd_bias_report(args: argparse.Namespace) -> int:
 
     table = _load_table(args)
     rows = _load_corpus(args)
-    report = trend._bias_report(rows, table, _before_corpus(rows, lambda: _model_config(args)),
-                                args.reference_year)
+    report = trend.present_bias_report(
+        rows, table, _before_corpus(rows, lambda: _model_config(args)), args.reference_year)
     data = trend.emit_series(report, args.format)
     _write_output(args, data,
                   lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))

@@ -67,6 +67,9 @@ class AuthorMention:
     def initial_only(self) -> bool:
         return self.first_name is None
 
+    def __iter__(self) -> Iterator:
+        return iter((self.raw, self.first_name, self.override_gender))
+
 
 def make_mention(raw: str) -> AuthorMention:
     return AuthorMention(raw=raw, first_name=extract_first_name(raw))
@@ -90,10 +93,14 @@ class CorpusRecord:
                 f"{MIN_PLAUSIBLE_YEAR}-{MAX_PLAUSIBLE_YEAR}"
             )
 
+    def __iter__(self) -> Iterator:
+        return iter((self.record_id, self.venue, self.publication_year, self.authors))
+
 
 # A parsed publication as the corpus commands pass it on, with no per-row
 # objects: (record_id, venue, year, mentions), each mention a tuple
 # (raw, first_name, override_gender) of the fields of an AuthorMention.
+# A CorpusRecord and its AuthorMentions unpack the same way.
 Mention = tuple[str, str | None, Gender | None]
 Row = tuple[str, str, int, list[Mention]]
 
@@ -103,13 +110,6 @@ def _records(rows: Iterable[Row]) -> list[CorpusRecord]:
     return [CorpusRecord(record_id, venue, year,
                          tuple([AuthorMention(*mention) for mention in mentions]))
             for record_id, venue, year, mentions in rows]
-
-
-def _rows(records: Iterable[CorpusRecord]) -> Iterator[Row]:
-    """The rows of records."""
-    for record in records:
-        yield (record.record_id, record.venue, record.publication_year,
-               [(m.raw, m.first_name, m.override_gender) for m in record.authors])
 
 
 def _year(text: str) -> int | None:
@@ -584,6 +584,6 @@ def apply_overrides(records: Sequence[CorpusRecord],
         (record_id, venue, year,
          [(raw, first_name, mentions.mention(raw, venue, year)[2] or gender)
           for raw, first_name, gender in authors])
-        for record_id, venue, year, authors in _rows(records))
+        for record_id, venue, year, authors in records)
     warn_unmatched(mentions.unmatched())
     return out

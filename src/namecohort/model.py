@@ -71,8 +71,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.year_shift < 0:
             raise ValueError("year_shift must be >= 0")
-        if self.max_fallback_distance < 0:
-            raise ValueError("max_fallback_distance must be >= 0")
+        _check_max_fallback(self.max_fallback_distance)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +84,12 @@ class Thresholds:
     def __post_init__(self):
         if not (0 <= self.tau_male < self.tau_female <= 1):
             raise ValueError("require 0 <= tau_male < tau_female <= 1")
+
+
+def _check_max_fallback(max_fallback_distance: int) -> None:
+    """Refuse a negative fallback cap, which would silently mean exact years only."""
+    if max_fallback_distance < 0:
+        raise ValueError("max_fallback_distance must be >= 0")
 
 
 # A lookup's result as a plain tuple, in GenderEstimate's field order:
@@ -101,6 +106,7 @@ def p_female(table: NameYearTable, name: str, year: int,
     toward the earlier year) and the distance is recorded. When no year
     qualifies the estimate is Unknown.
     """
+    _check_max_fallback(max_fallback_distance)
     return GenderEstimate(*lookup(table, table.span(name), year, max_fallback_distance))
 
 

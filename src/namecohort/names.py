@@ -95,20 +95,20 @@ def _full_key(tokens: list[str], key_part: Callable[[str], str] = _key_part) -> 
     return " ".join(filter(None, map(key_part, tokens)))
 
 
-def normalize_full_name(raw: str, key_part: Callable[[str], str] = _key_part) -> str:
+def normalize_full_name(raw: str) -> str:
     """Canonical full-name key: given-name-first, folded, punctuation-free.
 
     Used for dedup and for matching qualitative override entries, so that
     "Bartik, Jean", "Jean  Bartik " and "jean bartik" all collide. It joins
-    the non-empty key_part of each token (memoized by full_name_normalizer).
+    the non-empty key part of each token.
     """
-    return _full_key(_author_tokens(raw), key_part)
+    return _full_key(_author_tokens(raw))
 
 
 def full_name_normalizer() -> Callable[[str], str]:
     """:func:`normalize_full_name` for one pass: each distinct token is folded once."""
     key_part = functools.cache(_key_part)
-    return lambda raw: normalize_full_name(raw, key_part)
+    return lambda raw: _full_key(_author_tokens(raw), key_part)
 
 
 _QUOTED = frozenset(',"\n\r')

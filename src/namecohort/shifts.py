@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import DEFAULT_MAX_FALLBACK, lookup
+from .model import DEFAULT_MAX_FALLBACK, _check_max_fallback, lookup
 from .names import normalize_name
 from .ssa import NameYearTable
 
@@ -63,6 +63,7 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     endpoints, which avoids favoring either endpoint when ranking by size.
     Raises EndpointMissingError naming the year that had no data.
     """
+    _check_max_fallback(max_fallback_distance)
     record = _shift(table, normalize_name(name), y1, y2, max_fallback_distance)
     if isinstance(record, int):
         raise EndpointMissingError(name, record)
@@ -96,6 +97,7 @@ def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityC
     min_total_births, and max p(F) minus min p(F) reaches range_threshold.
     Output is sorted by descending range, ties broken lexicographically.
     """
+    _check_max_fallback(max_fallback_distance)
     qualifying = []
     for name in table.names():
         span = table.key_span(name)
@@ -126,6 +128,7 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_max_fallback(max_fallback_distance)
     shifted = (_shift(table, name, y1, y2, max_fallback_distance) for name in table.names())
     records = [record for record in shifted if not isinstance(record, int)]
     if weighted:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .corpus import CorpusRecord, Row, _rows
+from .corpus import CorpusRecord, Row
 from .model import Gender, ModelConfig, Thresholds, classify, cohort_lookup, lookup
 from .names import csv_text
 from .ssa import NameYearTable
@@ -122,13 +122,13 @@ def _value(gender: Gender | None, p: float | None,
     return None
 
 
-def _shares(rows: Iterable[Row], table: NameYearTable,
+def _shares(records: Iterable[CorpusRecord | Row], table: NameYearTable,
             resolvers: Sequence[Callable[[tuple[int, int], int], float | None]],
             config: EstimatorConfig, thresholds: Thresholds
             ) -> list[list[tuple[int | str, float | None, int, int]]]:
     """For each resolver, (bin label, share, n_authors, n_identified) for each
-    non-empty bin, in order, from one pass over the mentions of the corpus
-    rows (see :data:`corpus.Row`).
+    non-empty bin, in order, from one pass over the mentions of the records
+    or corpus rows (see :data:`corpus.Row`).
 
     A resolver maps (span, publication_year) to p(F), or None when unknown,
     where span is the first name's slice of the table columns. Each distinct
@@ -155,7 +155,7 @@ def _shares(rows: Iterable[Row], table: NameYearTable,
         return span, memos.setdefault(span, {})
 
     bins: dict[tuple[str, int], list[tuple[float | None, ...]]] = {}
-    for _, venue, year, mentions in rows:
+    for _, venue, year, mentions in records:
         start = (year // config.bin_width) * config.bin_width
         values = bins.setdefault((venue if config.group_by_venue else "", start), [])
         for _, name, override in mentions:
@@ -193,32 +193,28 @@ def _cohort(table: NameYearTable,
     return lambda span, year: cohort_lookup(table, span, year, model_config)[0]
 
 
-def annual_share(records: Sequence[CorpusRecord], table: NameYearTable,
+def annual_share(records: Iterable[CorpusRecord | Row], table: NameYearTable,
                  model_config: ModelConfig = ModelConfig(),
                  thresholds: Thresholds = Thresholds(),
                  config: EstimatorConfig = EstimatorConfig()) -> list[TrendPoint]:
     """Aggregate author mentions into a per-bin women's-share series.
 
+    records are CorpusRecords or corpus rows (:data:`corpus.Row`), which
+    unpack alike, and are read once, so a stream of them is never held.
     Records should already carry any qualitative overrides; an override
     outranks the table estimate for its mention. Bins with no records are
     omitted, never zero-filled. Each distinct (table span of the first
     name, publication year) is looked up once, so the first names absent
     from the table cost one lookup per publication year.
     """
-    return _annual_share(_rows(records), table, model_config, thresholds, config)
-
-
-def _annual_share(rows: Iterable[Row], table: NameYearTable, model_config: ModelConfig,
-                  thresholds: Thresholds, config: EstimatorConfig) -> list[TrendPoint]:
-    """:func:`annual_share` of corpus rows."""
-    [shares] = _shares(rows, table, [_cohort(table, model_config)], config, thresholds)
+    [shares] = _shares(records, table, [_cohort(table, model_config)], config, thresholds)
     return [TrendPoint(bin=label, share_female=share, n_authors=n_authors,
                        n_identified=identified, n_unidentified=n_authors - identified,
                        estimator=config.estimator)
             for label, share, n_authors, identified in shares]
 
 
-def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
+def present_bias_report(records: Iterable[CorpusRecord | Row], table: NameYearTable,
                         model_config: ModelConfig = ModelConfig(),
                         reference_year: int = 2000) -> BiasReport:
     """Per-year gap between cohort-shifted shares and a static predictor.
@@ -232,17 +228,12 @@ def present_bias_report(records: Sequence[CorpusRecord], table: NameYearTable,
     of the first name, publication year) once, the static arm each
     distinct span once, so the first names absent from the table cost one
     temporal lookup per publication year and one static lookup in all.
+    The records are read as :func:`annual_share` reads them.
     """
-    return _bias_report(_rows(records), table, model_config, reference_year)
-
-
-def _bias_report(rows: Iterable[Row], table: NameYearTable, model_config: ModelConfig,
-                 reference_year: int) -> BiasReport:
-    """:func:`present_bias_report` of corpus rows."""
     static = functools.cache(lambda span: lookup(table, span, reference_year,
                                                  model_config.max_fallback_distance)[0])
     temporal_shares, static_shares = _shares(
-        rows, table, [_cohort(table, model_config), lambda span, _: static(span)],
+        records, table, [_cohort(table, model_config), lambda span, _: static(span)],
         EstimatorConfig(), Thresholds())
     points = tuple(BiasPoint(bin=year, temporal_share=t_share, static_share=s_share,
                              gap=s_share - t_share)

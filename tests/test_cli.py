@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 import namecohort as nc
 from namecohort import corpus as corpus_module
 from namecohort import names, shifts
-from namecohort.cli import build_parser, main
+from namecohort.cli import _sha256, build_parser, main
 
 FIXTURE_DIR = str(resources.files("namecohort") / "data" / "ssa_fixture")
 
@@ -87,6 +89,12 @@ class TestPf:
                               "--table", str(out))
         assert code == 0
         assert json.loads(stdout)["p_female"] == 405 / 1536
+
+    @pytest.mark.parametrize("year", [("--year", "1960"), ("--pub-year", "1990")])
+    def test_negative_max_fallback_is_refused(self, capsys, year):
+        code, stdout, stderr = run(capsys, "pf", "Leslie", *year, "--max-fallback", "-1")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: max_fallback_distance must be >= 0\n"
 
     def test_stale_snapshot_fails_loudly(self, capsys, tmp_path):
         stale = tmp_path / "t.csv"
@@ -179,6 +187,14 @@ class TestShifts:
         assert json.loads(stdout)["net_female_shift"] == nc.net_female_shift(
             fixture_table, ["leslie"], 1912, 1975, max_fallback_distance=20)
 
+    @pytest.mark.parametrize("mode", [("--top", "3"), ("--unstable",), ("--name", "Leslie"),
+                                      ("--name", "Leslie", "--net"), ("--unstable", "--net")])
+    def test_negative_max_fallback_is_refused(self, capsys, mode):
+        code, stdout, stderr = run(capsys, "shifts", "--from", "1925", "--to", "1975", *mode,
+                                   "--max-fallback", "-1")
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: max_fallback_distance must be >= 0\n"
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, stderr = run(capsys, "shifts", "--from", "1900", "--to", "2000")
         assert code == 1
@@ -217,6 +233,15 @@ class TestSample:
         code, _, stderr = run(capsys, "sample", "--ids-file", str(ids))
         assert code == 1
         assert "--seed" in stderr
+
+    @pytest.mark.parametrize("with_ids", [False, True])
+    def test_population_size_zero_is_refused(self, capsys, tmp_path, with_ids):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("a\nb\nc\n")
+        extra = ("--ids-file", str(ids), "--seed", "1") if with_ids else ()
+        code, stdout, stderr = run(capsys, "sample", "--population-size", "0", *extra)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: population_size must be >= 1\n"
 
     def test_requires_population_or_ids(self, capsys):
         code, _, stderr = run(capsys, "sample")
@@ -486,6 +511,22 @@ class TestCliContracts:
         first["options"].pop("out")
         second["options"].pop("out")
         assert first == second
+
+
+def test_manifest_digest_is_hashed_in_bounded_memory(tmp_path):
+    data = os.urandom(1 << 20) * 12
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    want = "sha256:" + hashlib.sha256(data).hexdigest()
+    del data
+    tracemalloc.start()
+    try:
+        digest = _sha256(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert digest == want
+    assert peak < 3 << 20  # a few chunks, not the 12 MiB file
 
 
 def test_analyze_bin_width(capsys, tmp_path):

@@ -644,3 +644,17 @@ def test_dblp_rows_stream_out_chunk_by_chunk():
     assert next(rows) == ("k", "", 1990, [("Ann Lee", "ann", None)])
     assert stream.read_to <= 2 * (1 << 16)
     assert 1 + sum(1 for _ in rows) == 4000
+
+
+def test_records_and_mentions_unpack_in_row_order():
+    ledger = OverrideLedger([OverrideEntry("jean sammet", Gender.FEMALE, source_note="memoir")])
+    [record] = nc.parse_corpus_csv(io.StringIO(CSV_SAMPLE), ledger=ledger).records
+    sammet, liskov = record.authors
+    assert list(record) == ["a1", "SIGPLAN", 1980, (sammet, liskov)]
+    assert list(sammet) == ["Jean Sammet", "jean", Gender.FEMALE]
+    assert list(liskov) == ["B. Liskov", None, None]
+    # the rows the corpus commands stream unpack to the same fields
+    result = nc.CorpusParseResult()
+    [row] = nc.corpus._parse_csv(io.StringIO(CSV_SAMPLE), True, ledger, result)
+    record_id, venue, year, mentions = record
+    assert (record_id, venue, year, [tuple(m) for m in mentions]) == row

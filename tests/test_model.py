@@ -50,6 +50,12 @@ def test_fallback_cap_is_configurable(fixture_table):
     assert nc.p_female(fixture_table, "Gertrude", 1975, max_fallback_distance=25).known
 
 
+@pytest.mark.parametrize("name", ["Leslie", "Zzyzx"])
+def test_negative_fallback_cap_is_refused(fixture_table, name):
+    with pytest.raises(ValueError, match=r"^max_fallback_distance must be >= 0$"):
+        nc.p_female(fixture_table, name, 1960, max_fallback_distance=-1)
+
+
 def test_shifted_lookup_equals_direct_lookup(fixture_table):
     shifted = nc.shifted_lookup(fixture_table, "Johnnie", 1990)
     assert shifted == nc.p_female(fixture_table, "Johnnie", 1960)

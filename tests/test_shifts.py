@@ -219,3 +219,15 @@ def test_max_fallback_distance_matches_oracles():
             assert nc.net_female_shift(table, names, y1, y2,
                                        max_fallback_distance=max_fallback) == \
                 oracle_net(counts, names, y1, y2, max_fallback=max_fallback)
+
+
+@pytest.mark.parametrize("call", [
+    lambda table: nc.gender_shift(table, "leslie", 1925, 1975, max_fallback_distance=-1),
+    lambda table: nc.find_unstable(table, max_fallback_distance=-1),
+    lambda table: nc.top_shift_names(table, 1925, 1975, k=3, max_fallback_distance=-1),
+    lambda table: nc.net_female_shift(table, ["leslie"], 1925, 1975,
+                                      max_fallback_distance=-1),
+])
+def test_negative_fallback_cap_is_refused(fixture_table, call):
+    with pytest.raises(ValueError, match=r"^max_fallback_distance must be >= 0$"):
+        call(fixture_table)

@@ -388,3 +388,39 @@ def test_trend_matches_brute_force_oracles_exactly():
                     for p in report.points] == want_points
             assert (report.reference_year, report.mean_gap, report.max_gap) == \
                 (reference_year, want_mean, want_max)
+
+
+def rows_of(records):
+    """The corpus rows (:data:`corpus.Row`) of records, built field by field."""
+    return [(r.record_id, r.venue, r.publication_year,
+             [(m.raw, m.first_name, m.override_gender) for m in r.authors])
+            for r in records]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_records_and_rows_aggregate_alike(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        counts = random_counts(rng, max_names=20)
+        table = nc.NameYearTable(counts)
+        records = library_corpus(random_plain_corpus(rng, counts))
+        rows = rows_of(records)
+        model_config = nc.ModelConfig(year_shift=rng.choice([0, 30]),
+                                      max_fallback_distance=rng.choice([0, 10]))
+        for estimator in Estimator:
+            for display in (None, nc.DisplayEncoding()):
+                for bin_width in (1, 5):
+                    for group_by_venue in (False, True):
+                        config = nc.EstimatorConfig(
+                            estimator=estimator, display_encoding=display,
+                            bin_width=bin_width, group_by_venue=group_by_venue)
+                        want = nc.annual_share(records, table, model_config, config=config)
+                        assert want  # every corpus has a record
+                        assert nc.annual_share(rows, table, model_config, config=config) == want
+                        # a stream of rows is read once, as the CLI passes it
+                        assert nc.annual_share(iter(rows), table, model_config,
+                                               config=config) == want
+        reference_year = rng.randint(1890, 2010)
+        want = nc.present_bias_report(records, table, model_config, reference_year)
+        assert nc.present_bias_report(rows, table, model_config, reference_year) == want
+        assert nc.present_bias_report(iter(rows), table, model_config, reference_year) == want
