@@ -10,12 +10,11 @@ any result can be re-derived.
 from __future__ import annotations
 
 import argparse
-import collections
 import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import __version__, model, ssa
 from .names import csv_text, normalize_name
@@ -31,8 +30,6 @@ TABLE_FORMAT = ssa.SNAPSHOT_MAGIC.lstrip("# ")
 # so that building the parser imports neither module.
 ESTIMATORS = ("weighted-mean", "classified-share")
 SAMPLE_YEARS = (1900, 1925, 1950, 1975, 2000)
-
-T = TypeVar("T")
 
 
 def _sha256(path: Path) -> str:
@@ -90,46 +87,31 @@ def _model_config(args: argparse.Namespace) -> model.ModelConfig:
 
 
 def _load_corpus(args: argparse.Namespace) -> Iterator[corpus.Row]:
-    """The corpus rows, as the parser reads them. Once they are used up, and
-    so before any output, the skip count goes to stderr, then a ledger error
-    is raised or the unmatched ledger entries are warned about; an error in
-    the corpus comes first."""
+    """The corpus rows, as the parser reads them, once the ledger is read; an
+    error in the ledger ends the run before the corpus is opened. Once the
+    rows are used up, and so before any output, the skip count goes to stderr
+    and the unmatched ledger entries are warned about. A byte-order mark at
+    the start of a CSV corpus or ledger is dropped."""
     from . import corpus
 
     path = args.corpus
     fmt = args.corpus_format
     if fmt == "auto":
         fmt = "dblp" if path.suffix.lower() == ".xml" else "csv"
-    ledger = ledger_error = None
+    ledger = None
     if args.overrides:
-        try:
-            with open(args.overrides, encoding="utf-8", newline="") as stream:
-                ledger = corpus.read_override_ledger(stream)
-        except (ValueError, OSError) as exc:  # an error in the corpus comes first
-            ledger_error = exc
+        with open(args.overrides, encoding="utf-8-sig", newline="") as stream:
+            ledger = corpus.read_override_ledger(stream)
     result = corpus.CorpusParseResult()
     if fmt == "dblp":
         with open(path, "rb") as stream:
             yield from corpus._parse_dblp(stream, args.strict, ledger, result)
     else:
-        with open(path, encoding="utf-8", newline="") as stream:
+        with open(path, encoding="utf-8-sig", newline="") as stream:
             yield from corpus._parse_csv(stream, args.strict, ledger, result)
     if result.skipped:
         print(f"skipped {result.skipped} malformed entries in {path}", file=sys.stderr)
-    if ledger_error is not None:
-        raise ledger_error
     corpus.warn_unmatched(result.unmatched)
-
-
-def _before_corpus(rows: Iterator[corpus.Row], settings: Callable[[], T]) -> T:
-    """settings(), which a command validates before it reads its corpus rows.
-    When that raises ValueError, the rows are used up first, so that the
-    corpus errors, skip count and ledger messages come before it."""
-    try:
-        return settings()
-    except ValueError:
-        collections.deque(rows, maxlen=0)
-        raise
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -228,8 +210,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     ids: list[str] | None = None
     if args.ids_file:
+        if args.seed is None:
+            print("error: --seed is required when drawing from --ids-file", file=sys.stderr)
+            return 1
         ids = [line.strip() for line in
-               Path(args.ids_file).read_text(encoding="utf-8").splitlines()
+               Path(args.ids_file).read_text(encoding="utf-8-sig").splitlines()
                if line.strip()]
     population = args.population_size if args.population_size is not None else (
         len(ids) if ids is not None else None)
@@ -241,10 +226,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     header = {"spec": dataclasses.asdict(spec), "manifest": manifest}
     lines = [json.dumps(header, sort_keys=True)]
     if ids is not None:
-        if args.seed is None:
-            print("error: --seed is required when drawing from --ids-file",
-                  file=sys.stderr)
-            return 1
         n = args.size if args.size is not None else spec.computed_n
         lines.extend(sampling.draw_sample(ids, n, args.seed))
     data = ("\n".join(lines) + "\n").encode("utf-8")
@@ -255,19 +236,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import trend
 
+    config = trend.EstimatorConfig(
+        estimator=trend.Estimator(args.estimator),
+        unknown_value=args.unknown_value,
+        display_encoding=trend.DisplayEncoding() if args.display_encoding else None,
+        bin_width=args.bin_width,
+        group_by_venue=args.group_by_venue,
+    )
+    thresholds = model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male)
+    model_config = _model_config(args)
     table = _load_table(args)
-    rows = _load_corpus(args)
-    config, thresholds, model_config = _before_corpus(rows, lambda: (
-        trend.EstimatorConfig(
-            estimator=trend.Estimator(args.estimator),
-            unknown_value=args.unknown_value,
-            display_encoding=trend.DisplayEncoding() if args.display_encoding else None,
-            bin_width=args.bin_width,
-            group_by_venue=args.group_by_venue,
-        ),
-        model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male),
-        _model_config(args)))
-    points = trend.annual_share(rows, table, model_config, thresholds, config)
+    points = trend.annual_share(_load_corpus(args), table, model_config, thresholds, config)
     data = trend.emit_series(points, args.format)
     _write_output(args, data,
                   lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
@@ -277,10 +256,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_bias_report(args: argparse.Namespace) -> int:
     from . import trend
 
+    model_config = _model_config(args)
     table = _load_table(args)
-    rows = _load_corpus(args)
-    report = trend.present_bias_report(
-        rows, table, _before_corpus(rows, lambda: _model_config(args)), args.reference_year)
+    report = trend.present_bias_report(_load_corpus(args), table, model_config,
+                                       args.reference_year)
     data = trend.emit_series(report, args.format)
     _write_output(args, data,
                   lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
@@ -402,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", parents=[out_arg], formatter_class=fmt,
                        help="compute a sample size and optionally draw ids")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", action=_ModeOption, mode="--ids-file", type=int, default=None,
                    help="seed for the draw from --ids-file")
     p.add_argument("--population-size", type=int, default=None,
                    help="population size N (default: count of ids in --ids-file)")
@@ -412,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence level as a proportion")
     p.add_argument("--ids-file", type=Path, default=None,
                    help="file of ids, one per line, to draw from")
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", action=_ModeOption, mode="--ids-file", type=int, default=None,
                    help="draw exactly this many ids (e.g. a deliberate oversize "
                         "sample) instead of the computed minimum")
     p.set_defaults(func=cmd_sample)

@@ -9,6 +9,7 @@ unknown rather than inventing a prior.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import os
 import re
@@ -222,15 +223,28 @@ def _grouped(slots: _Slots) -> _Columns:
     return names, offsets, years, female_column, male_column
 
 
+_CHUNK_SIZE = 1 << 20
+
+
 def _undecodable_line(path: str | Path) -> int:
     """The 1-based line of the file's first byte that is not UTF-8 (a text
-    stream decodes in chunks, so its decode error does not say)."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    raise ValueError(f"{path}: changed while it was read")
+    stream decodes in chunks, so its decode error does not say). The file
+    is decoded in chunks of _CHUNK_SIZE bytes, so it is never held whole."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line = 1
+    with open(path, "rb") as stream:
+        while True:
+            chunk = stream.read(_CHUNK_SIZE)
+            # The bytes of a character split at the last chunk's end, which
+            # the decoder still holds; they hold no line break.
+            held = len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                return line + chunk.count(b"\n", 0, max(exc.start - held, 0))
+            if not chunk:
+                raise ValueError(f"{path}: changed while it was read")
+            line += chunk.count(b"\n")
 
 
 def _rows(stream: IO[str] | Iterable[str], path: str | None,
@@ -273,28 +287,25 @@ def _rows(stream: IO[str] | Iterable[str], path: str | None,
         raise SsaFormatError(f"not UTF-8 ({exc.reason})", _undecodable_line(path), path) from None
 
 
-def _fill(slots: _Slots, year: int, rows: Iterable[tuple[int | None, str, str, int]]
-          ) -> tuple[int | None, str, str, int] | None:
+def _fill(slots: _Slots, year: int, rows: Iterable[tuple[int | None, str, str, int]],
+          path: str | None = None) -> None:
     """Put each (line number, name, sex, count) row of one year into its slot:
     ``slots[sex][name][year] = count``.
 
     A slot that is already filled is a repeated (name, sex, year) triple,
-    which the source never has: the slot keeps its count and the first such
-    row is returned. Returns None otherwise.
+    which the source never has: DuplicateEntryError is raised at the first
+    such row, naming its path and line when the path is given.
     """
     females, males = slots
-    repeated = None
-    for row in rows:
-        _, name, sex, count = row
+    for lineno, name, sex, count in rows:
         side = females if sex == "F" else males
         by_year = side.get(name)
         if by_year is None:
             side[name] = {year: count}
         elif year not in by_year:
             by_year[year] = count
-        elif repeated is None:
-            repeated = row
-    return repeated
+        else:
+            raise DuplicateEntryError(name, sex, year, f"{path}:{lineno}" if path else None)
 
 
 def parse_year_file(stream: IO[str] | Iterable[str], year: int,
@@ -321,9 +332,7 @@ def build_table(records: Iterable[NameCountRecord]) -> NameYearTable:
     normalize = functools.cache(normalize_name)
     slots: _Slots = ({}, {})
     for record in records:
-        name = normalize(record.name)
-        if _fill(slots, record.year, [(None, name, record.sex, record.count)]):
-            raise DuplicateEntryError(name, record.sex, record.year)
+        _fill(slots, record.year, [(None, normalize(record.name), record.sex, record.count)])
     return NameYearTable._from_columns(*_grouped(slots))
 
 
@@ -362,27 +371,21 @@ def load_directory(directory: Path) -> NameYearTable:
     """Parse every year file in a directory and build the merged table.
 
     One pass puts each row into its (name, sex, year) slot, normalizing each
-    distinct raw name once. Files may be parsed in any order; the merge is
-    deterministic. Raises FileNotFoundError when the directory holds no
-    year files, SsaFormatError on the first malformed line, and, when every
-    line parses, DuplicateEntryError naming the first repeated (name, sex,
-    year) row.
+    distinct raw name once; a byte-order mark at the start of a file is
+    dropped. The files are read in name order and the first fault ends the
+    load, so no later line is read: FileNotFoundError when the directory
+    holds no year files, SsaFormatError at the first malformed line and
+    DuplicateEntryError at the first repeated (name, sex, year) row.
     """
     normalize = functools.cache(normalize_name)
     slots: _Slots = ({}, {})
-    duplicate: DuplicateEntryError | None = None
     found = False
     for year, path in iter_year_files(Path(directory)):
         found = True
-        with open(path, encoding="utf-8") as stream:
-            repeated = _fill(slots, year, _rows(stream, str(path), normalize))
-        if repeated and duplicate is None:
-            lineno, name, sex, _ = repeated
-            duplicate = DuplicateEntryError(name, sex, year, where=f"{path}:{lineno}")
+        with open(path, encoding="utf-8-sig") as stream:
+            _fill(slots, year, _rows(stream, str(path), normalize), str(path))
     if not found:
         raise FileNotFoundError(f"no yobYYYY.txt year files found in {directory}")
-    if duplicate is not None:
-        raise duplicate
     return NameYearTable._from_columns(*_grouped(slots))
 
 

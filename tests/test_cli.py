@@ -234,6 +234,19 @@ class TestSample:
         assert code == 1
         assert "--seed" in stderr
 
+    def test_seed_is_required_before_the_ids_file_is_read(self, capsys, tmp_path):
+        code, stdout, stderr = run(capsys, "sample", "--ids-file", str(tmp_path / "missing"))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: --seed is required when drawing from --ids-file\n"
+
+    def test_ids_file_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        ids = tmp_path / "ids.txt"
+        ids.write_bytes(b"\xef\xbb\xbfa\nb\nc\n")
+        code, stdout, _ = run(capsys, "sample", "--ids-file", str(ids), "--seed", "1",
+                              "--size", "3")
+        assert code == 0
+        assert sorted(stdout.splitlines()[1:]) == ["a", "b", "c"]
+
     @pytest.mark.parametrize("with_ids", [False, True])
     def test_population_size_zero_is_refused(self, capsys, tmp_path, with_ids):
         ids = tmp_path / "ids.txt"
@@ -389,7 +402,7 @@ class TestAnalyze:
                 ]
 
     @pytest.mark.parametrize("strict", [[], ["--strict"]])
-    def test_corpus_error_wins_over_ledger_error(self, capsys, tmp_path, strict):
+    def test_ledger_error_wins_over_corpus_error(self, capsys, tmp_path, strict):
         ledger = tmp_path / "l.csv"
         ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
                           "mary a,Q,,,,bio\n")
@@ -397,18 +410,18 @@ class TestAnalyze:
         bad_header.write_text("id,venue,year,authors\na1,X,1980,Mary A\n")
         bad_xml = tmp_path / "c.xml"
         bad_xml.write_bytes(b'<dblp><article key="a"><author>Mary A</author>')
-        for corpus, error in ((bad_header, "error: line 1: expected header"),
-                              (bad_xml, "error: byte 48: mismatched tag"),
-                              (tmp_path / "missing.csv", "error: [Errno 2]")):
-            # ... and over a bad setting
-            for command in (["analyze"], ["analyze", "--bin-width", "0"],
-                            ["bias-report", "--reference-year", "2000", "--shift", "-1"]):
+        for corpus in (bad_header, bad_xml):
+            # ... and a bad setting wins over both
+            for command, error in (
+                    (["analyze"], "error: line 2: invalid gender 'Q'\n"),
+                    (["analyze", "--bin-width", "0"], "error: bin_width must be >= 1\n"),
+                    (["bias-report", "--reference-year", "2000", "--shift", "-1"],
+                     "error: year_shift must be >= 0\n")):
                 code, stdout, stderr = run(capsys, *command, "--corpus", str(corpus),
                                            "--overrides", str(ledger), *strict)
-                assert (code, stdout) == (1, "")
-                assert stderr.startswith(error) and stderr.count("\n") == 1
+                assert (code, stdout, stderr) == (1, "", error)
 
-    def test_ledger_error_follows_the_skipped_line(self, capsys, tmp_path):
+    def test_ledger_error_comes_before_the_corpus_is_read(self, capsys, tmp_path):
         csv_corpus = tmp_path / "c.csv"
         csv_corpus.write_text("record_id,venue,year,authors\na1,X,80,Bad\na2,X,1980,Mary A\n")
         xml_corpus = tmp_path / "c.xml"
@@ -419,13 +432,49 @@ class TestAnalyze:
         ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
                           "mary a,Q,,,,bio\n")
         for corpus in (csv_corpus, xml_corpus):
-            for command in (["analyze"], ["bias-report", "--reference-year", "2000"],
-                            ["analyze", "--bin-width", "0"]):  # a bad setting comes last
+            for command, error in (
+                    (["analyze"], "error: line 2: invalid gender 'Q'"),
+                    (["bias-report", "--reference-year", "2000"],
+                     "error: line 2: invalid gender 'Q'"),
+                    (["analyze", "--bin-width", "0"], "error: bin_width must be >= 1")):
                 code, stdout, stderr = run(capsys, *command, "--corpus", str(corpus),
                                            "--overrides", str(ledger))
                 assert (code, stdout) == (1, "")
-                assert stderr.splitlines() == [f"skipped 1 malformed entries in {corpus}",
-                                               "error: line 2: invalid gender 'Q'"]
+                assert stderr.splitlines() == [error]  # no "skipped" line
+
+    def test_bad_setting_or_ledger_is_reported_when_the_corpus_is_missing(self, capsys,
+                                                                          tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("key,gender,year_from,year_to,venue,source_note\nmary a,F,,,,bio\n")
+        bad.write_text("key,gender,year_from,year_to,venue,source_note\nmary a,Q,,,,bio\n")
+        for argv, error in (
+                (["analyze", "--bin-width", "0", "--overrides", str(good)],
+                 "error: bin_width must be >= 1\n"),
+                (["analyze", "--tau-female", "0.1"],
+                 "error: require 0 <= tau_male < tau_female <= 1\n"),
+                (["bias-report", "--reference-year", "2000", "--max-fallback", "-1"],
+                 "error: max_fallback_distance must be >= 0\n"),
+                (["analyze", "--overrides", str(bad)], "error: line 2: invalid gender 'Q'\n"),
+                (["bias-report", "--reference-year", "2000", "--overrides", str(bad)],
+                 "error: line 2: invalid gender 'Q'\n")):
+            code, stdout, stderr = run(capsys, *argv, "--corpus", missing)
+            assert (code, stdout, stderr) == (1, "", error)
+        code, _, stderr = run(capsys, "analyze", "--overrides", str(good), "--corpus", missing)
+        assert code == 1 and stderr.startswith("error: [Errno 2]")
+
+    @pytest.mark.parametrize("which", ["corpus", "ledger"])
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, which):
+        corpus, ledger = tmp_path / "c.csv", tmp_path / "l.csv"
+        corpus.write_text("record_id,venue,year,authors\na1,X,1970,Leslie One|Mary A\n")
+        ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
+                          "leslie one,M,,,,bio\n")
+        target = corpus if which == "corpus" else ledger
+        target.write_bytes(b"\xef\xbb\xbf" + target.read_bytes())
+        code, stdout, stderr = run(capsys, "analyze", "--corpus", str(corpus),
+                                   "--overrides", str(ledger), "--estimator", "classified-share")
+        assert (code, stderr) == (0, "")
+        assert stdout.splitlines()[1] == "1970,0.5,2,2,0,classified-share"
 
     def test_strict_mode_aborts_on_dblp_publication(self, capsys, tmp_path):
         xml = tmp_path / "c.xml"
@@ -597,7 +646,8 @@ def test_command_accepts_and_records_only_the_flags_it_reads(capsys, tmp_path, c
 SHIFTS = ["shifts", "--from", "1925", "--to", "1975"]
 # Flags that only one mode of their command reads: a command line in a mode
 # that does not read the flag, the flag with a value and (where it takes
-# one) at its default, the mode that reads it, and a command line in that mode.
+# one) at its default, the mode that reads it, and a command line in that mode
+# ({ids} is a file of ten ids).
 MODE_FLAGS = {
     "shift": (["pf", "Johnnie", "--year", "1960"], [["--shift", "5"], ["--shift", "30"]],
               "--pub-year", ["pf", "Johnnie", "--pub-year", "1990"]),
@@ -612,12 +662,19 @@ MODE_FLAGS = {
                         "--unstable", [*SHIFTS, "--unstable"]),
     "min-births": ([*SHIFTS, "--name", "Leslie"], [["--min-births", "9"], ["--min-births", "500"]],
                    "--unstable", [*SHIFTS, "--unstable"]),
+    "seed": (["sample", "--population-size", "600"], [["--seed", "3"]], "--ids-file",
+             ["sample", "--ids-file", "{ids}", "--seed", "1"]),
+    "size": (["sample", "--population-size", "600"], [["--size", "5"]], "--ids-file",
+             ["sample", "--ids-file", "{ids}", "--seed", "1"]),
 }
 
 
 @pytest.mark.parametrize("flag", MODE_FLAGS)
 def test_mode_specific_flag_is_rejected_outside_its_mode(capsys, tmp_path, flag):
     argv, variants, mode, in_mode = MODE_FLAGS[flag]
+    ids = tmp_path / "ids.txt"
+    ids.write_text("".join(f"id{i}\n" for i in range(10)))
+    in_mode = [arg.format(ids=ids) for arg in in_mode]
     out = tmp_path / "out"
     for given in variants:
         with pytest.raises(SystemExit) as excinfo:

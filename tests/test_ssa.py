@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -201,11 +202,20 @@ def test_load_directory_rejects_rows_that_normalize_alike(tmp_path):
     assert excinfo.value.triple == ("jose", "M", 1981)
 
 
-def test_load_directory_reports_a_malformed_later_file_before_a_duplicate(tmp_path):
+@pytest.mark.parametrize("later", [b"Ada,F,100\nAda,X,5\n", b"Ada,F,100\nAd\xff,F,5\n"],
+                         ids=["malformed", "not-utf8"])
+def test_load_directory_reports_a_duplicate_before_a_bad_later_file(tmp_path, later):
     (tmp_path / "yob1980.txt").write_text("Ada,F,100\nAda,F,100\n")
-    (tmp_path / "yob1990.txt").write_text("Ada,F,100\nAda,X,5\n")
-    with pytest.raises(SsaFormatError, match=r"yob1990\.txt:2: invalid sex"):
+    (tmp_path / "yob1990.txt").write_bytes(later)
+    with pytest.raises(DuplicateEntryError, match=r"yob1980\.txt:2: .*\(ada, F, 1980\)"):
         nc.load_directory(tmp_path)
+
+
+def test_load_directory_drops_a_byte_order_mark(tmp_path):
+    (tmp_path / "yob1980.txt").write_bytes(b"\xef\xbb\xbfMary,F,100\n")
+    table = nc.load_directory(tmp_path)
+    assert table.names() == ("mary",)
+    assert table.counts("mary", 1980) == (100, 0)
 
 
 def test_load_directory_f_and_m_rows_of_one_name_and_year_are_one_entry(tmp_path):
@@ -229,6 +239,44 @@ def test_year_file_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
     with open(path, encoding="utf-8") as stream:
         with pytest.raises(SsaFormatError, match=r"yob1980\.txt:3001: not UTF-8"):
             nc.parse_year_file(stream, 1980, str(path))
+
+
+def test_undecodable_line_matches_the_whole_file_decode(tmp_path, monkeypatch):
+    # Chunks of a few bytes split multibyte characters, and bad bytes, across
+    # chunk edges.
+    monkeypatch.setattr(ssa, "_CHUNK_SIZE", 5)
+    pieces = [b"a", b"\n", "\u00e9".encode(), "\u20ac".encode(), "\U0001d11e".encode()]
+    bad = [b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80", b"\x80"]
+    path = tmp_path / "data.txt"
+    for seed in range(300):
+        rng = random.Random(seed)
+        data = b"".join(rng.choice(pieces) for _ in range(rng.randint(0, 40)))
+        k = rng.randint(0, len(data))
+        data = data[:k] + rng.choice(bad) + data[k:]
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            data.decode("utf-8")
+        assert ssa._undecodable_line(path) == data.count(b"\n", 0, excinfo.value.start) + 1
+
+
+def test_undecodable_line_of_a_file_that_is_utf8_is_an_error(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes("Jos\u00e9,M,5\n".encode())
+    with pytest.raises(ValueError, match="changed while it was read"):
+        ssa._undecodable_line(path)
+
+
+def test_undecodable_line_reads_in_bounded_memory(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"abcdefghi\n" * (12 * 2**20 // 10) + b"Ad\xff,F,5\n")
+    tracemalloc.start()
+    try:
+        line = ssa._undecodable_line(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert line == 12 * 2**20 // 10 + 1
+    assert peak < 3 << 20  # a few chunks, not the 12 MiB file
 
 
 def test_snapshot_round_trip(tmp_path, fixture_table):
