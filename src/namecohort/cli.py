@@ -133,11 +133,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_pf(args: argparse.Namespace) -> int:
+    config = _model_config(args)
     table = _load_table(args)
     payload: dict = {"name": normalize_name(args.name)}
     if args.pub_year is not None:
-        estimate = model.shifted_lookup(table, args.name, args.pub_year,
-                                        _model_config(args))
+        estimate = model.shifted_lookup(table, args.name, args.pub_year, config)
         payload["publication_year"] = args.pub_year
         payload["year_shift"] = args.shift
     else:
@@ -162,26 +162,29 @@ def _shift_records_csv(records: list[shifts.ShiftRecord]) -> bytes:
 def cmd_shifts(args: argparse.Namespace) -> int:
     from . import shifts
 
-    table = _load_table(args)
     y1, y2 = args.from_year, args.to_year
     modes = [bool(args.name), args.top is not None, args.unstable]
     if sum(modes) != 1:
         print("error: choose exactly one of --name, --top, --unstable", file=sys.stderr)
         return 1
     if args.top is not None:
+        shifts._check_top(args.top)
+    if args.unstable:
+        config = shifts.InstabilityConfig(
+            sample_years=tuple(args.sample_years),
+            range_threshold=args.range_threshold,
+            min_total_births=args.min_births,
+        )
+    model._check_max_fallback(args.max_fallback)
+    shifts._check_years(y1, y2)
+    table = _load_table(args)
+    if args.top is not None:
         records = shifts.top_shift_names(table, y1, y2, k=args.top,
                                          weighted=args.weighted,
                                          max_fallback_distance=args.max_fallback)
     else:
-        if args.unstable:
-            config = shifts.InstabilityConfig(
-                sample_years=tuple(args.sample_years),
-                range_threshold=args.range_threshold,
-                min_total_births=args.min_births,
-            )
-            names = shifts.find_unstable(table, config, args.max_fallback)
-        else:
-            names = args.name
+        names = (shifts.find_unstable(table, config, args.max_fallback) if args.unstable
+                 else args.name)
         records = []
         for name in names:
             try:
@@ -213,9 +216,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.seed is None:
             print("error: --seed is required when drawing from --ids-file", file=sys.stderr)
             return 1
-        ids = [line.strip() for line in
-               Path(args.ids_file).read_text(encoding="utf-8-sig").splitlines()
-               if line.strip()]
+        try:
+            text = Path(args.ids_file).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            line = ssa._undecodable_line(args.ids_file)
+            raise ValueError(f"{args.ids_file}:{line}: not UTF-8 ({exc.reason})") from None
+        ids = [line.strip() for line in text.splitlines() if line.strip()]
     population = args.population_size if args.population_size is not None else (
         len(ids) if ids is not None else None)
     if population is None:

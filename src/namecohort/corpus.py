@@ -12,11 +12,11 @@ import csv
 import functools
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .model import Gender
 from .names import (_author_tokens, _first_name, _full_key, _key_part, csv_text,
-                    extract_first_name, full_name_normalizer)
+                    extract_first_name, normalize_full_name)
 from .ssa import _undecodable_line
 
 __all__ = [
@@ -153,7 +153,7 @@ def _csv_rows(stream: IO[str] | Iterable[str],
         raise CorpusFormatError(f"not UTF-8 ({exc.reason})", _undecodable_line(path)) from None
 
 
-def _check_csv_row(row: list[str], lineno: int, mentions: _Mentions) -> Row:
+def _check_csv_row(row: list[str], lineno: int, mention: Callable[..., Mention]) -> Row:
     if len(row) != 4:
         raise CorpusFormatError(f"expected 4 columns, got {len(row)}", lineno)
     record_id, venue, raw_year, raw_authors = row
@@ -168,7 +168,7 @@ def _check_csv_row(row: list[str], lineno: int, mentions: _Mentions) -> Row:
     authors = raw_authors.split("|")
     if any(not a.strip() for a in authors):
         raise CorpusFormatError("empty author name in authors field", lineno)
-    return record_id, venue, year, [mentions.mention(a, venue, year) for a in authors]
+    return record_id, venue, year, [mention(a, venue, year) for a in authors]
 
 
 def _parse_csv(stream: IO[str] | Iterable[str], strict: bool, ledger: OverrideLedger | None,
@@ -176,10 +176,10 @@ def _parse_csv(stream: IO[str] | Iterable[str], strict: bool, ledger: OverrideLe
     """The rows of :func:`parse_corpus_csv`, one per good CSV row as it is
     read; skips are tallied in result as they happen, and the ledger's
     unmatched entries stored in it once the stream is used up."""
-    mentions = _Mentions(ledger)
+    mention, unmatched = _mentions(ledger)
     for lineno, cells in _csv_rows(stream, CSV_HEADER):
         try:
-            row = _check_csv_row(cells, lineno, mentions)
+            row = _check_csv_row(cells, lineno, mention)
         except CorpusFormatError as exc:
             if strict:
                 raise
@@ -187,7 +187,7 @@ def _parse_csv(stream: IO[str] | Iterable[str], strict: bool, ledger: OverrideLe
             result.problems.append(str(exc))
             continue
         yield row
-    result.unmatched = mentions.unmatched()
+    result.unmatched = unmatched()
 
 
 def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True,
@@ -199,9 +199,11 @@ def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True,
     In strict mode the first bad row aborts with its line number; in lenient
     mode bad rows are skipped and tallied in the result; a row the csv
     module refuses aborts in either mode. Each author string is tokenized
-    once, and each distinct token normalized once per call. A ledger, if
-    given, is applied as :func:`apply_overrides` applies it, except that
-    its unmatched entries are returned in the result, not logged.
+    once. The call caches two things per distinct token: the given name of
+    each given-name token and, with a ledger, whether each last token can
+    end a ledger key. A ledger, if given, is applied as
+    :func:`apply_overrides` applies it, except that its unmatched entries
+    are returned in the result, not logged.
     """
     result = CorpusParseResult()
     result.records = _records(_parse_csv(stream, strict, ledger, result))
@@ -245,9 +247,10 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
 
     Besides the records returned, memory holds at most one publication's
     text (character data is dropped where an author, year or venue child
-    starts and at every element start outside a publication) and one memo
-    entry per distinct name token in this call (each is normalized once),
-    regardless of file size. A ledger, if given, is
+    starts and at every element start outside a publication), whatever the
+    file size, and the call's cache entries: one per distinct given-name
+    token and, with a ledger, one per distinct last token, each normalized
+    once. A ledger, if given, is
     applied as :func:`parse_corpus_csv` applies it. Publications missing a
     key, a usable year (ASCII digits, white space around them allowed), or
     any author are skipped and tallied; in strict
@@ -285,8 +288,7 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
     """
     import xml.parsers.expat
 
-    mentions = _Mentions(ledger)
-    mention = mentions.mention
+    mention, unmatched = _mentions(ledger)
     head = stream.read(_CHUNK_SIZE)
     text_mode = isinstance(head, str)
     if text_mode:
@@ -408,7 +410,7 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
         # one that Python's codecs cannot give expat as a one-byte table.
         raise DblpParseError(f"unusable encoding ({exc})",
                              input_offset(parser.ErrorByteIndex)) from None
-    result.unmatched = mentions.unmatched()
+    result.unmatched = unmatched()
 
 
 @dataclass(frozen=True, slots=True)
@@ -486,7 +488,6 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
     normalized on load, may not be empty or repeat within one scope. Each
     error is a CorpusFormatError naming its line.
     """
-    full_name = full_name_normalizer()
     ledger = OverrideLedger(())
     for lineno, row in _csv_rows(stream, LEDGER_HEADER):
         if len(row) != 6:
@@ -501,7 +502,7 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
                 raise CorpusFormatError(f"invalid {column} {text!r}", lineno)
         try:
             ledger._add(OverrideEntry(
-                key=full_name(key),
+                key=normalize_full_name(key),
                 gender=Gender(raw_gender),
                 year_from=scope[0],
                 year_to=scope[1],
@@ -513,49 +514,46 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
     return ledger
 
 
-class _Mentions:
-    """One call's author mentions, each built from one tokenization of its
-    author string: the first token gives the given name and, with a ledger,
-    the tokens give the override. Each distinct token is normalized once.
+def _mentions(ledger: OverrideLedger | None) -> tuple[Callable[..., Mention], Callable]:
+    """One call's mention(raw, venue, year) and unmatched() closures. Each
+    mention is built from one tokenization of its author string: the first
+    token gives the given name and, with a ledger, the tokens give the
+    override. Each distinct given-name token, and with a ledger each
+    distinct last token, is normalized once.
 
     A mention builds its full-name key only when the key can equal a ledger
     key: the key joins the non-empty key parts, so it ends in the last word
     of the last token's part, which must then end some ledger key; when that
     part is empty, the key is built.
     """
+    first_name = functools.cache(_first_name)
+    entries = ledger.entries if ledger else ()
+    surnames = {entry.key.rpartition(" ")[2] for entry in entries}
+    used: set[OverrideEntry] = set()
 
-    def __init__(self, ledger: OverrideLedger | None):
-        self._ledger = ledger
-        self._first_name = functools.cache(_first_name)
-        self._key_part = functools.cache(_key_part)
-        self._entries = ledger.entries if ledger else ()
-        surnames = {entry.key.rpartition(" ")[2] for entry in self._entries}
+    @functools.cache
+    def may_end_key(token: str) -> bool:
+        part = _key_part(token)
+        return not part or part.rpartition(" ")[2] in surnames
 
-        @functools.cache
-        def may_end_key(token: str) -> bool:
-            part = _key_part(token)
-            return not part or part.rpartition(" ")[2] in surnames
-
-        self._may_end_key = may_end_key
-        self._used: set[OverrideEntry] = set()
-
-    def mention(self, raw: str, venue: str, year: int) -> Mention:
+    def mention(raw: str, venue: str, year: int) -> Mention:
         """The mention of raw in a record of this venue and year, carrying
         the gender of the first ledger entry whose key is its full-name key
         and whose scope holds the venue and year."""
         tokens = _author_tokens(raw)
-        first_name = self._first_name(tokens[0]) if tokens else None
         gender = None
-        if self._ledger is not None and tokens and self._may_end_key(tokens[-1]):
-            entry = self._ledger.match(_full_key(tokens, self._key_part), venue, year)
+        if ledger is not None and tokens and may_end_key(tokens[-1]):
+            entry = ledger.match(_full_key(tokens), venue, year)
             if entry is not None:
-                self._used.add(entry)
+                used.add(entry)
                 gender = entry.gender
-        return raw, first_name, gender
+        return raw, first_name(tokens[0]) if tokens else None, gender
 
-    def unmatched(self) -> list[OverrideEntry]:
+    def unmatched() -> list[OverrideEntry]:
         """The ledger's entries that no mention matched, in ledger order."""
-        return [entry for entry in self._entries if entry not in self._used]
+        return [entry for entry in entries if entry not in used]
+
+    return mention, unmatched
 
 
 def warn_unmatched(entries: Iterable[OverrideEntry]) -> None:
@@ -577,13 +575,13 @@ def apply_overrides(records: Sequence[CorpusRecord],
     the record falls inside the entry's venue/year scope; a mention that
     matches nothing keeps the override it had. Ledger entries that never
     matched anything are reported by :func:`warn_unmatched`. Each distinct
-    name token is folded once per call.
+    last token is folded once per call.
     """
-    mentions = _Mentions(ledger)
+    mention, unmatched = _mentions(ledger)
     out = _records(
         (record_id, venue, year,
-         [(raw, first_name, mentions.mention(raw, venue, year)[2] or gender)
+         [(raw, first_name, mention(raw, venue, year)[2] or gender)
           for raw, first_name, gender in authors])
         for record_id, venue, year, authors in records)
-    warn_unmatched(mentions.unmatched())
+    warn_unmatched(unmatched())
     return out

@@ -55,6 +55,18 @@ class InstabilityConfig:
             raise ValueError("min_total_births must be >= 0")
 
 
+def _check_years(y1: int, y2: int) -> None:
+    """Refuse a year pair that does not run forward."""
+    if y1 >= y2:
+        raise ValueError("require y1 < y2")
+
+
+def _check_top(k: int) -> None:
+    """Refuse a top-k ranking of fewer than one name."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+
+
 def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
                  max_fallback_distance: int = DEFAULT_MAX_FALLBACK) -> ShiftRecord:
     """Shift record for one name between years y1 < y2.
@@ -64,6 +76,7 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     Raises EndpointMissingError naming the year that had no data.
     """
     _check_max_fallback(max_fallback_distance)
+    _check_years(y1, y2)
     record = _shift(table, normalize_name(name), y1, y2, max_fallback_distance)
     if isinstance(record, int):
         raise EndpointMissingError(name, record)
@@ -75,8 +88,6 @@ def _shift(table: NameYearTable, key: str, y1: int, y2: int,
     """:func:`gender_shift` of the name whose normalized key is given, or
     the first endpoint year without usable counts: the key's span is
     fetched once and read at both years."""
-    if y1 >= y2:
-        raise ValueError("require y1 < y2")
     span = table.key_span(key)
     p_start, start_female, start_male, _, _ = lookup(table, span, y1, max_fallback_distance)
     if p_start is None:
@@ -126,9 +137,9 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
     unresolvable at either endpoint are simply ineligible, and fewer than k
     eligible names yields a shorter list. Ties break lexicographically.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_top(k)
     _check_max_fallback(max_fallback_distance)
+    _check_years(y1, y2)
     shifted = (_shift(table, name, y1, y2, max_fallback_distance) for name in table.names())
     records = [record for record in shifted if not isinstance(record, int)]
     if weighted:
@@ -146,6 +157,7 @@ def net_female_shift(table: NameYearTable, names: list[str], y1: int, y2: int,
     Every name must resolve at both years. The normalization keeps the
     result in [-1, 1] and invariant under uniform scaling of the weights.
     """
+    _check_years(y1, y2)
     return net_shift([gender_shift(table, name, y1, y2, max_fallback_distance)
                       for name in names])
 

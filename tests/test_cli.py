@@ -200,6 +200,34 @@ class TestShifts:
         assert code == 1
         assert "choose exactly one" in stderr
 
+    @pytest.mark.parametrize("net", [[], ["--net"]])
+    def test_inverted_year_pair_is_refused_when_no_name_is_read(self, capsys, net):
+        code, stdout, stderr = run(capsys, "shifts", "--from", "1975", "--to", "1925",
+                                   "--unstable", "--min-births", "1000000000", *net)
+        assert (code, stdout, stderr) == (1, "", "error: require y1 < y2\n")
+
+    def test_json_rows_equal_the_csv_rows(self, capsys):
+        argv = ("shifts", "--from", "1925", "--to", "1975", "--top", "5", "--weighted")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        csv_rows = list(csv.DictReader(io.StringIO(stdout)))
+        code, stdout, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        json_rows = json.loads(stdout)
+        assert len(json_rows) == len(csv_rows) == 5
+        for got, want in zip(json_rows, csv_rows):
+            assert {key: str(value) for key, value in got.items()} == want
+
+    def test_unstable_names_without_usable_counts_are_skipped(self, capsys, fixture_table):
+        code, stdout, stderr = run(capsys, "shifts", "--from", "1901", "--to", "1999",
+                                   "--unstable", "--max-fallback", "0")
+        assert (code, stdout) == (0, "name,p_start,p_end,delta,weight\n")
+        unstable = nc.find_unstable(fixture_table, max_fallback_distance=0)
+        assert "madison" in unstable
+        assert "skipping no usable counts for 'madison' at year 1901\n" in stderr
+        assert stderr.splitlines() == [
+            f"skipping no usable counts for {name!r} at year 1901" for name in unstable]
+
     def test_unresolvable_explicit_name_errors(self, capsys):
         code, _, stderr = run(capsys, "shifts", "--from", "1950", "--to", "1975",
                               "--name", "Gertrude")
@@ -238,6 +266,13 @@ class TestSample:
         code, stdout, stderr = run(capsys, "sample", "--ids-file", str(tmp_path / "missing"))
         assert (code, stdout) == (1, "")
         assert stderr == "error: --seed is required when drawing from --ids-file\n"
+
+    def test_ids_file_bytes_that_are_not_utf8_name_the_line(self, capsys, tmp_path):
+        ids = tmp_path / "ids.txt"
+        ids.write_bytes(b"".join(b"id%d\n" % i for i in range(3000)) + b"id\xff3\nid4\n")
+        code, stdout, stderr = run(capsys, "sample", "--ids-file", str(ids), "--seed", "1")
+        assert (code, stdout) == (1, "")
+        assert stderr == f"error: {ids}:3001: not UTF-8 (invalid start byte)\n"
 
     def test_ids_file_byte_order_mark_is_dropped(self, capsys, tmp_path):
         ids = tmp_path / "ids.txt"
@@ -691,6 +726,22 @@ def test_mode_specific_flag_is_rejected_outside_its_mode(capsys, tmp_path, flag)
     assert recorded[0] != recorded[1]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["pf", "Mary", "--year", "1950", "--max-fallback", "-1"],
+     "max_fallback_distance must be >= 0"),
+    (["shifts", "--from", "1975", "--to", "1925", "--top", "3"], "require y1 < y2"),
+    (["shifts", "--from", "1925", "--to", "1975", "--top", "0"], "k must be >= 1"),
+    (["shifts", "--from", "1925", "--to", "1975"],
+     "choose exactly one of --name, --top, --unstable"),
+    (["shifts", "--from", "1925", "--to", "1975", "--unstable", "--sample-years", "2000,1900"],
+     "sample_years must be strictly increasing"),
+])
+def test_table_command_reports_a_bad_setting_before_reading_the_table(capsys, tmp_path,
+                                                                       argv, error):
+    code, stdout, stderr = run(capsys, *argv, "--table", str(tmp_path / "missing.bin"))
+    assert (code, stdout, stderr) == (1, "", f"error: {error}\n")
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -702,3 +753,27 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "pubs.csv").write_text(
+        "record_id,venue,year,authors\n"
+        "a1,X,1970,Leslie One|Mary Smith\n"
+        "a2,Y,1990,\"Smith, Mary\"|J. Doe\n")
+    (tmp_path / "ledger.csv").write_text(
+        "key,gender,year_from,year_to,venue,source_note\n"
+        "mary smith,F,,,,biography\n"
+        "ann nobody,F,,,,stale\n")
+    monkeypatch.chdir(tmp_path)
+    namespace = {"ids": [f"id{i:04d}" for i in range(7358)]}
+    exec(compile(block, "README.md", "exec"), namespace)
+    est, spec = namespace["est"], namespace["spec"]
+    assert est.p_female == pytest.approx(0.08)
+    assert nc.classify(est) is nc.Gender.MALE
+    assert spec.computed_n == 366
+    assert len(namespace["subset"]) == 366
+    assert [m.override_gender for r in namespace["records"] for m in r.authors] == [
+        None, nc.Gender.FEMALE, nc.Gender.FEMALE, None]
+    assert [e.key for e in namespace["result"].unmatched] == ["ann nobody"]

@@ -231,3 +231,18 @@ def test_max_fallback_distance_matches_oracles():
 def test_negative_fallback_cap_is_refused(fixture_table, call):
     with pytest.raises(ValueError, match=r"^max_fallback_distance must be >= 0$"):
         call(fixture_table)
+
+
+@pytest.mark.parametrize("call", [
+    lambda table: nc.gender_shift(table, "leslie", 1975, 1925),
+    lambda table: nc.top_shift_names(table, 1975, 1925, k=3),
+    lambda table: nc.net_female_shift(table, ["leslie"], 1975, 1925),
+    lambda table: nc.net_female_shift(table, [], 1975, 1925),
+])
+@pytest.mark.parametrize("names", [["leslie"], []])
+def test_inverted_year_pair_is_refused_whatever_names_are_read(call, names):
+    # a table with no names reads none, so no per-name check could fire
+    table = nc.NameYearTable({(name, year): (50, 50) for name in names
+                              for year in (1925, 1975)})
+    with pytest.raises(ValueError, match=r"^require y1 < y2$"):
+        call(table)
