@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -33,14 +34,18 @@ SAMPLE_YEARS = (1900, 1925, 1950, 1975, 2000)
 
 
 def _sha256(path: Path) -> str:
-    """The digest of the file, read in chunks of 1 MiB so that hashing a
-    large corpus does not hold it in memory."""
+    """The digest of the file, read into one buffer of at most 1 MiB so that
+    hashing a large corpus does not hold it in memory; a smaller file gets a
+    buffer of its own size, which costs less to allocate."""
     import hashlib  # only manifests need it
 
     digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for chunk in iter(lambda: stream.read(1 << 20), b""):
-            digest.update(chunk)
+    with open(path, "rb", buffering=0) as stream:
+        # A pipe's size reads 0: it gets the whole 1 MiB.
+        file_size = os.fstat(stream.fileno()).st_size
+        buffer = memoryview(bytearray(min(file_size, 1 << 20) or 1 << 20))
+        while size := stream.readinto(buffer):
+            digest.update(buffer[:size])
     return "sha256:" + digest.hexdigest()
 
 
@@ -211,6 +216,7 @@ def cmd_shifts(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     from . import sampling
 
+    sampling._check_settings(args.population_size, args.margin, args.confidence)
     ids: list[str] | None = None
     if args.ids_file:
         if args.seed is None:

@@ -41,6 +41,17 @@ class TierRecommendation:
     rationale: str
 
 
+def _check_settings(population_size: int | None, margin: float, confidence: float) -> None:
+    """Raise ValueError for a setting :func:`sample_size` refuses; a
+    population of None is not checked."""
+    if population_size is not None and population_size < 1:
+        raise ValueError("population_size must be >= 1")
+    if not (0 < margin <= 0.5):
+        raise ValueError("margin must be in (0, 0.5]")
+    if not (0.5 < confidence < 1):
+        raise ValueError("confidence must be in (0.5, 1)")
+
+
 def sample_size(population_size: int, margin: float = 0.05,
                 confidence: float = 0.95) -> SampleSpec:
     """Minimum sample size for estimating a proportion at the given margin
@@ -51,12 +62,7 @@ def sample_size(population_size: int, margin: float = 0.05,
     rounded up. z is the standard two-decimal table value (1.96 at 95%),
     matching survey practice. The result never exceeds the population.
     """
-    if population_size < 1:
-        raise ValueError("population_size must be >= 1")
-    if not (0 < margin <= 0.5):
-        raise ValueError("margin must be in (0, 0.5]")
-    if not (0.5 < confidence < 1):
-        raise ValueError("confidence must be in (0.5, 1)")
+    _check_settings(population_size, margin, confidence)
     z = round(NormalDist().inv_cdf((1 + confidence) / 2), 2)
     n0 = z * z * 0.25 / (margin * margin)
     corrected = n0 / (1 + (n0 - 1) / population_size)

@@ -154,17 +154,21 @@ def net_female_shift(table: NameYearTable, names: list[str], y1: int, y2: int,
     """Weight-normalized mean delta over the given names; positive means the
     set moved toward female association between y1 and y2.
 
-    Every name must resolve at both years. The normalization keeps the
-    result in [-1, 1] and invariant under uniform scaling of the weights.
+    The names must be non-empty and each must resolve at both years. The
+    normalization keeps the result in [-1, 1] and invariant under uniform
+    scaling of the weights.
     """
     _check_years(y1, y2)
+    if not names:
+        raise ValueError("names must be non-empty")
     return net_shift([gender_shift(table, name, y1, y2, max_fallback_distance)
                       for name in names])
 
 
-def net_shift(records: list[ShiftRecord]) -> float:
-    """Weight-normalized mean delta of shift records already computed."""
+def net_shift(records: list[ShiftRecord]) -> float | None:
+    """Weight-normalized mean delta of shift records already computed; None
+    for no records, since an aggregate over nothing is null, not 0."""
     if not records:
-        raise ValueError("names must be non-empty")
+        return None
     total_weight = sum(r.weight for r in records)
     return sum(r.delta * r.weight for r in records) / total_weight

@@ -23,7 +23,7 @@ from importlib import resources
 from itertools import repeat
 from operator import eq, lt, or_, truth
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .names import normalize_name
 
@@ -211,11 +211,19 @@ def _grouped(slots: _Slots) -> _Columns:
         if not name or "\n" in name:
             raise ValueError(f"table name {name!r} is empty or holds a line break")
         female, male = females.get(name, empty), males.get(name, empty)
-        name_years = sorted(female.keys() | male.keys())
+        if female and male:
+            name_years = sorted(female.keys() | male.keys())
+            female_counts = map(female.get, name_years, repeat(0))
+            male_counts = map(male.get, name_years, repeat(0))
+        else:  # most names carry one sex: no key-set union, no get per year
+            one = female or male
+            name_years = sorted(one)
+            counts, zeros = map(one.__getitem__, name_years), repeat(0, len(name_years))
+            female_counts, male_counts = (counts, zeros) if female else (zeros, counts)
         try:
             years.extend(name_years)
-            female_column.extend(map(female.get, name_years, repeat(0)))
-            male_column.extend(map(male.get, name_years, repeat(0)))
+            female_column.extend(female_counts)
+            male_column.extend(male_counts)
         except OverflowError:
             raise ValueError(f"a year or count of {name!r} is outside the table's range "
                              f"(years 0-{2**16 - 1}, counts 0-{_MAX_COUNT})") from None
@@ -247,15 +255,21 @@ def _undecodable_line(path: str | Path) -> int:
             line += chunk.count(b"\n")
 
 
-def _rows(stream: IO[str] | Iterable[str], path: str | None,
-          normalize: Callable[[str], str]) -> Iterator[tuple[int, str, str, int]]:
-    """(line number, normalized name, sex, count) for each row of a year file.
+def _fill_year(slots: _Slots, by_raw: _Slots, year: int, stream: IO[str] | Iterable[str],
+               path: str | None) -> None:
+    """Put each row of one year file into its slot: ``slots[sex][name][year] = count``.
 
-    Raises SsaFormatError on the first malformed line (wrong field count,
+    by_raw maps each raw name met so far, per sex, to its slot, so a raw name
+    is normalized once per sex across the files that share by_raw. Blank
+    lines are skipped. The first fault raises, naming the path (when given)
+    and the line: SsaFormatError for a malformed line (wrong field count,
     sex outside {F, M}, a count that is not ASCII digits, has more digits
     than int() converts or lies outside 1-_MAX_COUNT, empty name, or, when
-    the path is given, bytes that are not UTF-8). Blank lines are skipped.
+    the path is given, bytes that are not UTF-8) and DuplicateEntryError for
+    a repeated (name, sex, year) triple, which the source never has.
     """
+    females, males = slots
+    female_raw, male_raw = by_raw
     try:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
@@ -266,7 +280,11 @@ def _rows(stream: IO[str] | Iterable[str], path: str | None,
                 raise SsaFormatError(f"expected 3 comma-separated fields, got {len(fields)}",
                                      lineno, path)
             raw_name, sex, raw_count = fields
-            if sex != "F" and sex != "M":
+            if sex == "F":
+                side, raw_side = females, female_raw
+            elif sex == "M":
+                side, raw_side = males, male_raw
+            else:
                 raise SsaFormatError(f"invalid sex code {sex!r}", lineno, path)
             if not (raw_count.isascii() and raw_count.isdecimal()):
                 raise SsaFormatError(f"invalid count {raw_count!r}", lineno, path)
@@ -277,49 +295,38 @@ def _rows(stream: IO[str] | Iterable[str], path: str | None,
             if not 0 < count <= _MAX_COUNT:
                 raise SsaFormatError(f"invalid count: count must be >= 1 and <= {_MAX_COUNT}",
                                      lineno, path)
-            name = normalize(raw_name)
-            if not name:
-                raise SsaFormatError("empty name", lineno, path)
-            yield lineno, name, sex, count
+            by_year = raw_side.get(raw_name)
+            if by_year is None:
+                name = normalize_name(raw_name)
+                if not name:
+                    raise SsaFormatError("empty name", lineno, path)
+                by_year = raw_side[raw_name] = side.setdefault(name, {})
+            if year in by_year:
+                raise DuplicateEntryError(normalize_name(raw_name), sex, year,
+                                          f"{path}:{lineno}" if path else f"line {lineno}")
+            by_year[year] = count
     except UnicodeDecodeError as exc:
         if path is None:
             raise
         raise SsaFormatError(f"not UTF-8 ({exc.reason})", _undecodable_line(path), path) from None
 
 
-def _fill(slots: _Slots, year: int, rows: Iterable[tuple[int | None, str, str, int]],
-          path: str | None = None) -> None:
-    """Put each (line number, name, sex, count) row of one year into its slot:
-    ``slots[sex][name][year] = count``.
-
-    A slot that is already filled is a repeated (name, sex, year) triple,
-    which the source never has: DuplicateEntryError is raised at the first
-    such row, naming its path and line when the path is given.
-    """
-    females, males = slots
-    for lineno, name, sex, count in rows:
-        side = females if sex == "F" else males
-        by_year = side.get(name)
-        if by_year is None:
-            side[name] = {year: count}
-        elif year not in by_year:
-            by_year[year] = count
-        else:
-            raise DuplicateEntryError(name, sex, year, f"{path}:{lineno}" if path else None)
-
-
 def parse_year_file(stream: IO[str] | Iterable[str], year: int,
                     path: str | None = None) -> list[NameCountRecord]:
-    """Parse one year file into records, attaching the given year.
+    """Parse one year file into records, attaching the given year: the
+    female rows first, then the male rows, each in file order.
 
     Raises SsaFormatError on the first malformed line (wrong field count,
     sex outside {F, M}, a count that is not an integer or lies outside the
     count column's range 1-4294967295, empty name, or, when the stream was
-    opened from path, bytes that are not UTF-8). An empty stream yields an
-    empty list.
+    opened from path, bytes that are not UTF-8), and DuplicateEntryError on
+    the first row whose (name, sex) repeats an earlier row's. An empty
+    stream yields an empty list.
     """
-    return [NameCountRecord(name, sex, count, year)
-            for _, name, sex, count in _rows(stream, path, normalize_name)]
+    slots: _Slots = ({}, {})
+    _fill_year(slots, ({}, {}), year, stream, path)
+    return [NameCountRecord(name, sex, by_year[year], year)
+            for sex, side in zip("FM", slots) for name, by_year in side.items()]
 
 
 def build_table(records: Iterable[NameCountRecord]) -> NameYearTable:
@@ -330,9 +337,13 @@ def build_table(records: Iterable[NameCountRecord]) -> NameYearTable:
     corrupted input rather than data to be summed.
     """
     normalize = functools.cache(normalize_name)
-    slots: _Slots = ({}, {})
+    females, males = slots = ({}, {})
     for record in records:
-        _fill(slots, record.year, [(None, normalize(record.name), record.sex, record.count)])
+        name, sex, year = normalize(record.name), record.sex, record.year
+        by_year = (females if sex == "F" else males).setdefault(name, {})
+        if year in by_year:
+            raise DuplicateEntryError(name, sex, year)
+        by_year[year] = record.count
     return NameYearTable._from_columns(*_grouped(slots))
 
 
@@ -361,31 +372,33 @@ def serialize_table(table: NameYearTable) -> dict[int, str]:
 
 def iter_year_files(directory: Path) -> Iterator[tuple[int, Path]]:
     """Yield (year, path) for every yobYYYY.txt in the directory, sorted."""
-    for path in sorted(Path(directory).iterdir()):
-        match = _YEAR_FILE_RE.fullmatch(path.name)
+    directory = Path(directory)
+    for name in sorted(os.listdir(directory)):
+        match = _YEAR_FILE_RE.fullmatch(name)
         if match:
-            yield int(match.group(1)), path
+            yield int(match.group(1)), directory / name
 
 
 def load_directory(directory: Path) -> NameYearTable:
     """Parse every year file in a directory and build the merged table.
 
     One pass puts each row into its (name, sex, year) slot, normalizing each
-    distinct raw name once; a byte-order mark at the start of a file is
-    dropped. The files are read in name order and the first fault ends the
-    load, so no later line is read: FileNotFoundError when the directory
+    distinct raw name once per sex; a byte-order mark at the start of a file
+    is dropped. The files are read in name order and the first fault ends
+    the load, so no later line is read: FileNotFoundError when the directory
     holds no year files, SsaFormatError at the first malformed line and
     DuplicateEntryError at the first repeated (name, sex, year) row.
     """
-    normalize = functools.cache(normalize_name)
     slots: _Slots = ({}, {})
+    by_raw: _Slots = ({}, {})
     found = False
     for year, path in iter_year_files(Path(directory)):
         found = True
         with open(path, encoding="utf-8-sig") as stream:
-            _fill(slots, year, _rows(stream, str(path), normalize), str(path))
+            _fill_year(slots, by_raw, year, stream, str(path))
     if not found:
         raise FileNotFoundError(f"no yobYYYY.txt year files found in {directory}")
+    del by_raw  # the columns are the load's peak; the raw names are not in them
     return NameYearTable._from_columns(*_grouped(slots))
 
 

@@ -228,6 +228,16 @@ class TestShifts:
         assert stderr.splitlines() == [
             f"skipping no usable counts for {name!r} at year 1901" for name in unstable]
 
+    def test_net_shift_over_only_skipped_names_is_null(self, capsys, fixture_table):
+        code, stdout, stderr = run(capsys, "shifts", "--from", "1901", "--to", "1999",
+                                   "--unstable", "--max-fallback", "0", "--net")
+        assert code == 0
+        assert json.loads(stdout) == {"from_year": 1901, "to_year": 1999, "names": [],
+                                      "net_female_shift": None}
+        unstable = nc.find_unstable(fixture_table, max_fallback_distance=0)
+        assert stderr.splitlines() == [
+            f"skipping no usable counts for {name!r} at year 1901" for name in unstable]
+
     def test_unresolvable_explicit_name_errors(self, capsys):
         code, _, stderr = run(capsys, "shifts", "--from", "1950", "--to", "1975",
                               "--name", "Gertrude")
@@ -290,6 +300,17 @@ class TestSample:
         code, stdout, stderr = run(capsys, "sample", "--population-size", "0", *extra)
         assert (code, stdout) == (1, "")
         assert stderr == "error: population_size must be >= 1\n"
+
+    @pytest.mark.parametrize("setting, message", [
+        (("--margin", "2"), "margin must be in (0, 0.5]"),
+        (("--confidence", "1.5"), "confidence must be in (0.5, 1)"),
+        (("--population-size", "0"), "population_size must be >= 1"),
+    ], ids=["margin", "confidence", "population-size"])
+    def test_settings_are_checked_before_the_ids_file_is_read(self, capsys, tmp_path,
+                                                              setting, message):
+        code, stdout, stderr = run(capsys, "sample", "--ids-file", str(tmp_path / "missing.txt"),
+                                   "--seed", "1", *setting)
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
     def test_requires_population_or_ids(self, capsys):
         code, _, stderr = run(capsys, "sample")
@@ -610,7 +631,23 @@ def test_manifest_digest_is_hashed_in_bounded_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert digest == want
-    assert peak < 3 << 20  # a few chunks, not the 12 MiB file
+    assert peak < 3 << 19  # one 1 MiB buffer, not the 12 MiB file or a chunk per read
+
+
+def test_manifest_digest_of_small_files_and_of_a_pipe(tmp_path):
+    # A buffer sized to the file must still read all of an empty file, a
+    # one-byte file and a pipe, whose size reads 0.
+    for i, data in enumerate([b"", b"a", b"id1\nid2\n"]):
+        path = tmp_path / f"small{i}.txt"
+        path.write_bytes(data)
+        assert _sha256(path) == "sha256:" + hashlib.sha256(data).hexdigest()
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"x" * 5000)
+    os.close(write_end)
+    try:
+        assert _sha256(f"/dev/fd/{read_end}") == "sha256:" + hashlib.sha256(b"x" * 5000).hexdigest()
+    finally:
+        os.close(read_end)
 
 
 def test_analyze_bin_width(capsys, tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import namecohort as nc
-from namecohort.shifts import EndpointMissingError
+from namecohort.shifts import EndpointMissingError, net_shift
 from conftest import FIXTURE_UNSTABLE
 from oracles import (
     EXTRA_YEARS,
@@ -139,6 +139,10 @@ def test_net_female_shift_symmetry_and_single_name():
 def test_net_female_shift_rejects_empty_names(fixture_table):
     with pytest.raises(ValueError):
         nc.net_female_shift(fixture_table, [], 1925, 1975)
+
+
+def test_net_shift_of_no_records_is_null():
+    assert net_shift([]) is None
 
 
 def test_net_female_shift_fixture_golden_value(fixture_table):

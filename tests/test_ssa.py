@@ -35,7 +35,31 @@ def test_parse_year_file_empty_stream_is_empty_list():
     assert nc.parse_year_file(io.StringIO(""), 1900) == []
 
 
-@pytest.mark.parametrize("line, fragment", [
+ENTRY_POINTS = ("parse_year_file", "load_directory")
+
+
+def on_both_entry_points(argnames, cases, ids, plain):
+    """Parametrize over each case read through both entry points, as "entry"
+    plus argnames: the run through the entry point named plain keeps the
+    case's id, and the other run's id ends in that entry point's name."""
+    return pytest.mark.parametrize("entry, " + argnames, [
+        pytest.param(entry, *case, id=case_id if entry == plain else f"{case_id}-{entry}")
+        for entry in ENTRY_POINTS for case, case_id in zip(cases, ids)])
+
+
+def read_year_file(entry, directory, data, year=1980):
+    """Write data as the directory's year file and read it through the entry
+    point: the table load_directory builds, or the records of parse_year_file
+    over the file opened as load_directory opens it."""
+    path = directory / f"yob{year}.txt"
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    if entry == "load_directory":
+        return nc.load_directory(directory)
+    with open(path, encoding="utf-8-sig") as stream:
+        return nc.parse_year_file(stream, year, str(path))
+
+
+MALFORMED_LINES = [
     ("Mary,X,10", "invalid sex code"),
     ("Mary,F", "expected 3"),
     ("Mary,F,10,extra", "expected 3"),
@@ -43,21 +67,49 @@ def test_parse_year_file_empty_stream_is_empty_list():
     ("Mary,F,-3", "invalid count"),
     ("Mary,F,0", "count must be >= 1"),
     (",F,10", "empty name"),
-])
-def test_parse_year_file_rejects_malformed_lines(line, fragment):
+]
+
+
+@on_both_entry_points("line, fragment", MALFORMED_LINES,
+                      ids=["-".join(case) for case in MALFORMED_LINES], plain="parse_year_file")
+def test_parse_year_file_rejects_malformed_lines(tmp_path, entry, line, fragment):
     with pytest.raises(SsaFormatError) as excinfo:
-        nc.parse_year_file([line], 1950)
-    assert excinfo.value.lineno == 1
+        read_year_file(entry, tmp_path, f"Ada,F,100\n\n{line}\nBea,F,5\n", 1950)
+    assert excinfo.value.lineno == 3
+    assert str(excinfo.value).startswith(f"{tmp_path / 'yob1950.txt'}:3: ")
     assert fragment in str(excinfo.value)
 
 
-@pytest.mark.parametrize("count", ["1" * 5000, "\uff15", "1\u0661", str(2**32)],
-                         ids=["5000-digits", "fullwidth-5", "arabic-indic-1", "above-4-bytes"])
-def test_count_that_is_not_plain_ascii_digits_or_too_long_names_path_and_line(tmp_path, count):
-    (tmp_path / "yob1980.txt").write_text(f"Ada,F,100\nBea,F,{count}\n", encoding="utf-8")
+@on_both_entry_points("count", [("1" * 5000,), ("\uff15",), ("1\u0661",), (str(2**32),)],
+                      ids=["5000-digits", "fullwidth-5", "arabic-indic-1", "above-4-bytes"],
+                      plain="load_directory")
+def test_count_that_is_not_plain_ascii_digits_or_too_long_names_path_and_line(tmp_path, entry,
+                                                                              count):
     with pytest.raises(SsaFormatError, match=r"yob1980\.txt:2: invalid count") as excinfo:
-        nc.load_directory(tmp_path)
+        read_year_file(entry, tmp_path, f"Ada,F,100\nBea,F,{count}\n")
     assert excinfo.value.lineno == 2
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_name_and_sex_repeated_within_one_file_is_refused_at_its_line(tmp_path, entry):
+    # The male row of the same name is no repeat; the second female row is.
+    data = "Ada,F,100\nAda,M,9\nBea,F,40\n\nADA,F,7\nCy,M,5\n"
+    with pytest.raises(DuplicateEntryError, match=r"yob1980\.txt:5: duplicate record for "
+                                                  r"\(ada, F, 1980\)$") as excinfo:
+        read_year_file(entry, tmp_path, data)
+    assert excinfo.value.triple == ("ada", "F", 1980)
+
+
+def test_parse_year_file_without_a_path_names_the_line_of_a_repeat():
+    with pytest.raises(DuplicateEntryError, match=r"^line 3: duplicate record for "
+                                                  r"\(bo, M, 1950\)$"):
+        nc.parse_year_file(["Bo,M,5", "Al,F,6", "bo,M,7"], 1950)
+
+
+def test_parse_year_file_gives_females_then_males_in_file_order():
+    records = nc.parse_year_file(["Zed,M,9", "Bea,F,40", "Ada,M,5", "Ada,F,100"], 1950)
+    assert [(r.name, r.sex) for r in records] == [
+        ("bea", "F"), ("ada", "F"), ("zed", "M"), ("ada", "M")]
 
 
 def test_parse_error_reports_correct_line_number():
@@ -150,6 +202,59 @@ def test_fixture_shift_names_cross_half_between_1930_and_2000(fixture_table):
     for name in ("addison", "jan", "kendall", "madison", "morgan", "sidney"):
         ps = [nc.p_female(fixture_table, name, y).p_female for y in (1950, 1975, 2000)]
         assert (min(ps) < 0.5 < max(ps)), name
+
+
+def random_year_files(rng, directory):
+    """Write seeded year files and return their {(name, year): (female, male)}.
+
+    Names carry F rows only, M rows only or both, in spellings that vary by
+    row but normalize alike; each file interleaves its F and M rows, holds
+    blank lines, and ends its lines in LF or CRLF, and some start with a
+    byte-order mark. The mapping keys each entry by one of its raw spellings.
+    """
+    spellings = [str.lower, str.capitalize, str.upper, lambda w: w.replace("a", "\u00e1")]
+    names = rng.sample(VALID_NAMES, rng.randint(3, 40))
+    counts = {}
+    for k, year in enumerate(sorted(rng.sample(range(1880, 2024), rng.randint(2, 8)))):
+        rows = []
+        for i, name in enumerate(names):
+            if rng.random() < 0.3:
+                continue
+            # by i % 3: F rows only, M rows only, both
+            female = rng.randint(5, 5000) if i % 3 != 1 else 0
+            male = rng.randint(5, 5000) if i % 3 != 0 else 0
+            female_raw, male_raw = (rng.choice(spellings)(name) for _ in range(2))
+            if female:
+                rows.append(f"{female_raw},F,{female}")
+            if male:
+                rows.append(f"{male_raw},M,{male}")
+            counts[(female_raw, year)] = (female, male)
+        rng.shuffle(rows)
+        for _ in range(rng.randint(0, 3)):
+            rows.insert(rng.randint(0, len(rows)), rng.choice(["", "  "]))
+        end = "\r\n" if k % 2 else "\n"
+        bom = "\ufeff" if k % 3 == 0 else ""
+        (directory / f"yob{year}.txt").write_bytes((bom + end.join(rows) + end).encode())
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_table_build_entry_points_agree(tmp_path, seed):
+    counts = random_year_files(random.Random(seed), tmp_path)
+    loaded = nc.load_directory(tmp_path)
+    records = []
+    for year, path in ssa.iter_year_files(tmp_path):
+        with open(path, encoding="utf-8-sig") as stream:
+            records.extend(nc.parse_year_file(stream, year, str(path)))
+    tables = [loaded, nc.build_table(records), nc.NameYearTable(counts)]
+    assert tables[0] == tables[1] == tables[2]
+    assert table_counts(loaded) == {(nc.normalize_name(name), year): value
+                                    for (name, year), value in counts.items()}
+    snapshots = []
+    for i, table in enumerate(tables):
+        nc.write_snapshot(table, tmp_path / f"table{i}.bin")
+        snapshots.append((tmp_path / f"table{i}.bin").read_bytes())
+    assert snapshots[0] == snapshots[1] == snapshots[2]
 
 
 def test_load_directory_reads_year_from_filename(tmp_path):
