@@ -123,14 +123,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.out:
         print("error: ingest requires --out for the table snapshot", file=sys.stderr)
         return 1
-    year_files = [path for _, path in ssa.iter_year_files(Path(args.ssa_dir))]
-    table = ssa.load_directory(Path(args.ssa_dir))
+    year_files = list(ssa.iter_year_files(args.ssa_dir))
+    table = ssa._load_year_files(args.ssa_dir, year_files)
     if table.year_range is None:
         print(f"error: year files in {args.ssa_dir} contained no records",
               file=sys.stderr)
         return 1
     ssa.write_snapshot(table, args.out)
-    _write_manifest(args.out, build_manifest(args, year_files))
+    _write_manifest(args.out, build_manifest(args, [path for _, path in year_files]))
     lo, hi = table.year_range
     print(f"ingested {len(year_files)} year files: years {lo}-{hi}, "
           f"{len(table.names())} names, {len(table)} entries")

@@ -9,25 +9,14 @@ package writes, whose cells hold names, is written by :func:`csv_text`.
 
 from __future__ import annotations
 
-import functools
 import re
 import unicodedata
-from typing import Callable, Iterable
+from typing import Iterable
 
-# Letters that do not decompose under NFKD; mapped to their conventional
+# Lowercase letters that NFKD leaves whole; mapped to their conventional
 # basic-letter transliterations.
-_CHAR_MAP = str.maketrans(
-    {
-        "ø": "o", "Ø": "O",
-        "ł": "l", "Ł": "L",
-        "đ": "d", "Đ": "D",
-        "ð": "d", "Ð": "D",
-        "þ": "th", "Þ": "Th",
-        "ß": "ss",
-        "æ": "ae", "Æ": "Ae",
-        "œ": "oe", "Œ": "Oe",
-    }
-)
+_CHAR_MAP = str.maketrans({"ø": "o", "ł": "l", "đ": "d", "ð": "d", "þ": "th", "ß": "ss",
+                           "æ": "ae", "œ": "oe"})
 
 _HONORIFICS = {"mr", "mrs", "miss", "prof", "dr"}
 
@@ -38,17 +27,20 @@ _INITIAL_RE = re.compile(r"^([a-z]\.)*[a-z]\.?$")
 _PUNCT_RE = re.compile(r"[.,;:()\[\]{}\"']+")
 
 
-def strip_diacritics(text: str) -> str:
-    """Fold accented characters to their base letters."""
+def _fold(text: str) -> str:
+    """Fold text for a key: NFKD, combining marks dropped, lowercased, then
+    the letters NFKD leaves whole mapped. In this order a folded text folds
+    to itself."""
     if text.isascii():
-        return text
-    decomposed = unicodedata.normalize("NFKD", text.translate(_CHAR_MAP))
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+        return text.lower()
+    decomposed = unicodedata.normalize("NFKD", text)
+    kept = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return kept.lower().translate(_CHAR_MAP)
 
 
 def normalize_name(name: str) -> str:
     """Canonical lowercase diacritic-free key for a single name token."""
-    return strip_diacritics(name).strip().lower()
+    return _fold(name).strip()
 
 
 def _author_tokens(raw: str) -> list[str]:
@@ -72,9 +64,9 @@ def _first_name(token: str) -> str | None:
 
 
 def _key_part(token: str) -> str:
-    """A token's part of the full-name key: folded, lowercased, punctuation
-    turned into spaces, whitespace collapsed."""
-    return " ".join(_PUNCT_RE.sub(" ", strip_diacritics(token).lower()).split())
+    """A token's part of the full-name key: folded, punctuation turned into
+    spaces, whitespace collapsed."""
+    return " ".join(_PUNCT_RE.sub(" ", _fold(token)).split())
 
 
 def extract_first_name(raw: str) -> str | None:
@@ -89,10 +81,10 @@ def extract_first_name(raw: str) -> str | None:
     return _first_name(tokens[0]) if tokens else None
 
 
-def _full_key(tokens: list[str], key_part: Callable[[str], str] = _key_part) -> str:
+def _full_key(tokens: list[str]) -> str:
     """The full-name key of an author's tokens: their non-empty key parts
     joined by single spaces."""
-    return " ".join(filter(None, map(key_part, tokens)))
+    return " ".join(filter(None, map(_key_part, tokens)))
 
 
 def normalize_full_name(raw: str) -> str:
@@ -103,12 +95,6 @@ def normalize_full_name(raw: str) -> str:
     the non-empty key part of each token.
     """
     return _full_key(_author_tokens(raw))
-
-
-def full_name_normalizer() -> Callable[[str], str]:
-    """:func:`normalize_full_name` for one pass: each distinct token is folded once."""
-    key_part = functools.cache(_key_part)
-    return lambda raw: _full_key(_author_tokens(raw), key_part)
 
 
 _QUOTED = frozenset(',"\n\r')

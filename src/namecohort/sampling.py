@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-from .names import full_name_normalizer
+from .names import normalize_full_name
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,9 +90,10 @@ def dedup_authors(mentions: Iterable[str]) -> list[str]:
 
     Exact-match deduplication after full-name normalization (case fold,
     whitespace collapse, diacritic strip, honorific drop); distinct people
-    sharing one name string still collapse to one entry.
+    sharing one name string still collapse to one entry. Each distinct raw
+    string is normalized once.
     """
-    return sorted(set(map(full_name_normalizer(), mentions)) - {""})
+    return sorted(set(map(normalize_full_name, set(mentions))) - {""})
 
 
 def tier_recommendation(population_size: int) -> TierRecommendation:

@@ -389,15 +389,19 @@ def load_directory(directory: Path) -> NameYearTable:
     holds no year files, SsaFormatError at the first malformed line and
     DuplicateEntryError at the first repeated (name, sex, year) row.
     """
+    return _load_year_files(directory, list(iter_year_files(directory)))
+
+
+def _load_year_files(directory: Path, year_files: list[tuple[int, Path]]) -> NameYearTable:
+    """:func:`load_directory` over year_files, the (year, path) pairs that
+    :func:`iter_year_files` listed from directory."""
+    if not year_files:
+        raise FileNotFoundError(f"no yobYYYY.txt year files found in {directory}")
     slots: _Slots = ({}, {})
     by_raw: _Slots = ({}, {})
-    found = False
-    for year, path in iter_year_files(Path(directory)):
-        found = True
+    for year, path in year_files:
         with open(path, encoding="utf-8-sig") as stream:
             _fill_year(slots, by_raw, year, stream, str(path))
-    if not found:
-        raise FileNotFoundError(f"no yobYYYY.txt year files found in {directory}")
     del by_raw  # the columns are the load's peak; the raw names are not in them
     return NameYearTable._from_columns(*_grouped(slots))
 

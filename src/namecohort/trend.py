@@ -89,12 +89,13 @@ class BiasPoint:
 
 @dataclass(frozen=True, slots=True)
 class BiasReport:
-    """Per-bin comparison of cohort-shifted vs reference-year-pinned shares."""
+    """Per-bin comparison of cohort-shifted vs reference-year-pinned shares;
+    both summary gaps are None when there are no bins."""
 
     reference_year: int
     points: tuple[BiasPoint, ...]
-    mean_gap: float
-    max_gap: float  # gap of largest magnitude, sign preserved
+    mean_gap: float | None
+    max_gap: float | None  # gap of largest magnitude, sign preserved
 
 
 def _value(gender: Gender | None, p: float | None,
@@ -240,10 +241,9 @@ def present_bias_report(records: Iterable[CorpusRecord | Row], table: NameYearTa
                    for (year, t_share, _, _), (_, s_share, _, _)
                    in zip(temporal_shares, static_shares))
     gaps = [p.gap for p in points]
-    mean_gap = math.fsum(gaps) / len(gaps) if gaps else 0.0
-    max_gap = max(gaps, key=abs) if gaps else 0.0
     return BiasReport(reference_year=reference_year, points=points,
-                      mean_gap=mean_gap, max_gap=max_gap)
+                      mean_gap=math.fsum(gaps) / len(gaps) if gaps else None,
+                      max_gap=max(gaps, key=abs, default=None))
 
 
 _POINT_COLUMNS = ("bin", "share_female", "n_authors", "n_identified", "n_unidentified",

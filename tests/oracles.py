@@ -176,7 +176,8 @@ def oracle_annual_share(counts: dict, corpus: list, estimator: str = "weighted-m
 
 def oracle_bias_report(counts: dict, corpus: list, reference_year: int,
                        year_shift: int = 30, max_fallback: int = 10):
-    """([(year, temporal, static, gap)], mean_gap, max_gap)."""
+    """([(year, temporal, static, gap)], mean_gap, max_gap); both gaps are
+    None over no years."""
     by_year: dict[int, list[tuple[float, float]]] = {}
     for _, year, mentions in corpus:
         for first, override in mentions:
@@ -197,10 +198,10 @@ def oracle_bias_report(counts: dict, corpus: list, reference_year: int,
         static = _mean([s for _, s in by_year[year]])
         points.append((year, temporal, static, static - temporal))
     gaps = [gap for *_, gap in points]
-    mean_gap = _mean(gaps) if gaps else 0.0
-    max_gap = 0.0
+    mean_gap = _mean(gaps) if gaps else None
+    max_gap = None
     for gap in gaps:
-        if abs(gap) > abs(max_gap):
+        if max_gap is None or abs(gap) > abs(max_gap):
             max_gap = gap
     return points, mean_gap, max_gap
 
@@ -263,17 +264,17 @@ def oracle_snapshot_rows(counts: dict) -> list:
     return list(by_name.items())
 
 
-_FOLD = str.maketrans({"ø": "o", "Ø": "O", "ł": "l", "Ł": "L", "đ": "d", "Đ": "D",
-                       "ð": "d", "Ð": "D", "þ": "th", "Þ": "Th", "ß": "ss",
-                       "æ": "ae", "Æ": "Ae", "œ": "oe", "Œ": "Oe"})
+_FOLD = str.maketrans({"ø": "o", "ł": "l", "đ": "d", "ð": "d", "þ": "th", "ß": "ss",
+                       "æ": "ae", "œ": "oe"})
 _KEY_PUNCT = re.compile(r"[.,;:()\[\]{}\"']+")
 
 
 def oracle_normalize_full_name(raw: str) -> str:
     """The full-name key, built from the whole string at once: flip
-    "Surname, Given[, suffix]", drop leading honorifics, then fold
-    diacritics, lowercase, turn punctuation into spaces and collapse
-    whitespace over the joined text."""
+    "Surname, Given[, suffix]", drop leading honorifics, then over the
+    joined text decompose (NFKD), drop combining marks, lowercase, map the
+    letters that do not decompose, turn punctuation into spaces and collapse
+    whitespace."""
     text = raw.strip()
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
@@ -284,8 +285,9 @@ def oracle_normalize_full_name(raw: str) -> str:
     tokens = text.split()
     while tokens and tokens[0].rstrip(".").lower() in {"mr", "mrs", "miss", "prof", "dr"}:
         tokens = tokens[1:]
-    decomposed = unicodedata.normalize("NFKD", " ".join(tokens).translate(_FOLD))
+    decomposed = unicodedata.normalize("NFKD", " ".join(tokens))
     folded = "".join(ch for ch in decomposed if not unicodedata.combining(ch)).lower()
+    folded = folded.translate(_FOLD)
     return re.sub(r"\s+", " ", _KEY_PUNCT.sub(" ", folded)).strip()
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import namecohort as nc
 from namecohort import corpus as corpus_module
-from namecohort import names, shifts
+from namecohort import names, shifts, ssa
 from namecohort.cli import _sha256, build_parser, main
 
 FIXTURE_DIR = str(resources.files("namecohort") / "data" / "ssa_fixture")
@@ -41,6 +41,26 @@ class TestIngest:
         table = nc.read_snapshot(out)
         assert table.counts("johnnie", 1960) == (405, 1131)
         assert (out.parent / "table.csv.manifest.json").exists()
+
+    def test_ingest_lists_the_directory_once_and_hashes_what_it_loads(
+            self, capsys, tmp_path, monkeypatch):
+        for name, text in (("yob1980.txt", "Ada,F,10\n"), ("yob1981.txt", "Ada,M,5\n"),
+                           ("yob19.txt", "Bo,F,5\n"), ("notes.txt", "")):
+            (tmp_path / name).write_text(text)
+        listings, opened = [], []
+        listdir, open_ = os.listdir, open
+        monkeypatch.setattr(os, "listdir", lambda path: listings.append(path) or listdir(path))
+        monkeypatch.setattr(ssa, "open", lambda path, *args, **kwargs:
+                            opened.append(str(path)) or open_(path, *args, **kwargs),
+                            raising=False)
+        out = tmp_path / "out" / "t.snap"
+        out.parent.mkdir()
+        code, _, _ = run(capsys, "ingest", str(tmp_path), "--out", str(out))
+        assert code == 0 and len(listings) == 1
+        manifest = json.loads((out.parent / "t.snap.manifest.json").read_text())
+        loaded = [path for path in opened if path != str(out)]
+        assert list(manifest["inputs"]) == loaded == [str(tmp_path / "yob1980.txt"),
+                                                      str(tmp_path / "yob1981.txt")]
 
     def test_ingest_empty_dir_errors(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "ingest", str(tmp_path),
@@ -565,6 +585,17 @@ class TestBiasReport:
         header, row = stdout.splitlines()
         assert header == "bin,temporal_share,static_share,gap"
         assert float(row.split(",")[3]) > 0
+
+    def test_empty_corpus_reports_null_gaps(self, capsys, tmp_path):
+        """An aggregate over nothing is null in JSON; the CSV stays header-only."""
+        corpus = tmp_path / "empty.csv"
+        corpus.write_text("record_id,venue,year,authors\n")
+        argv = ("bias-report", "--corpus", str(corpus), "--reference-year", "2000")
+        code, stdout, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert stdout == '{"bins":[],"max_gap":null,"mean_gap":null,"reference_year":2000}\n'
+        code, stdout, _ = run(capsys, *argv)
+        assert (code, stdout) == (0, "bin,temporal_share,static_share,gap\n")
 
 
 class TestCliContracts:

@@ -1,36 +1,134 @@
-"""The author-name keys against the whole-string oracles in tests/oracles.py.
+"""The name fold's properties, and the author-name keys against the
+whole-string oracles in tests/oracles.py.
 
 Seeded author strings mix diacritics, NBSP, U+00A8 (whose NFKD form starts
-with a space), Greek capital sigma, dotted capital I, ligatures, brackets,
-quotes, "Surname, Given" forms with suffixes, honorifics and initials, and
-surnames whose key part is empty ("(.)", "¨") or several words
-("O'Neil-Smith").
+with a space), Greek capital sigma, dotted capital I, ligatures, letters
+that decompose to a letter NFKD leaves whole (Ǿ, ǽ) or lowercase to one
+(ẞ), brackets, quotes, "Surname, Given" forms with suffixes, honorifics and
+initials, and surnames whose key part is empty ("(.)", "¨") or several
+words ("O'Neil-Smith").
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import logging
 import random
+import sys
+import unicodedata
 from xml.sax.saxutils import escape
 
+import pytest
+
 import namecohort as nc
+from namecohort.cli import main
 from namecohort.corpus import CSV_HEADER, make_mention
-from namecohort.names import csv_text, full_name_normalizer
+from namecohort.names import _CHAR_MAP, csv_text
 from oracles import oracle_apply_overrides, oracle_normalize_full_name
 
 GIVEN = ["José", "ΣΟΦΙΑ", "Σοφια", "İlkay", "Jürgen", "ﬁona", "Æsa", "Ørjan", "Łukasz",
-         "Þóra", "Zoë", "Ma¨ry", "J.", "R.C.", "B", "Anne-Marie", "O'Neil", "ada"]
+         "Þóra", "Zoë", "Ma¨ry", "J.", "R.C.", "B", "Anne-Marie", "O'Neil", "ada",
+         "Ǿrjan", "ǽlfrida", "ẞenta"]
 SURNAMES = ["Smith", "de la Cruz", "Núñez", "Straße", "ΟΔΥΣΣΕΑΣ", "Yıldız", "O'Brien",
             "(Lee)", '"Kim"', "[Wu]", "Smith-Jones", "ΑΣ", "O'Neil-Smith", "(.)",
-            "¨"]
+            "¨", "Ǿstby", "Sǽther", "ẞtrauss"]
 HONORIFICS = ["", "", "Dr. ", "Prof ", "Mrs. ", "Mr ", "Dr. Prof. ", "MISS ", "dr."]
 SUFFIXES = ["Jr.", "III", "PhD", ""]
 SPACES = [" ", "  ", "\u00a0", "\t", " \u00a0"]
 SOUP = list("aAzZ éÉñüÖ,.;:()[]{}\"'-|") + [
     "¨", "Σ", "σ", "İ", "ß", "Æ", "ﬁ", "\u00a0", "\u0301", "\t", "ø", "Ł", "þ",
-    "Dr. ", "Prof ", "mrs.", "MISS ", "Jr."]
+    "Ǿ", "ǽ", "ẞ", "Dr. ", "Prof ", "mrs.", "MISS ", "Jr."]
+
+# The code points whose key the map-first fold (below) left unfolded: each
+# decomposes to, or lowercases to, a letter of the map.
+REFOLDED = list("ǢǣǼǽǾǿẞᴭᶞꟹ") + ["\U00010783", "\U000107a2"]
+
+_MAP_FIRST = str.maketrans({"ø": "o", "Ø": "O", "ł": "l", "Ł": "L", "đ": "d", "Đ": "D",
+                            "ð": "d", "Ð": "D", "þ": "th", "Þ": "Th", "ß": "ss",
+                            "æ": "ae", "Æ": "Ae", "œ": "oe", "Œ": "Oe"})
+
+
+def map_first_normalize_name(name: str) -> str:
+    """normalize_name in the earlier fold order, frozen here: map both cases
+    of the letters NFKD leaves whole, then NFKD, drop combining marks,
+    strip and lowercase."""
+    decomposed = unicodedata.normalize("NFKD", name.translate(_MAP_FIRST))
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch)).strip().lower()
+
+
+def foldable() -> list[str]:
+    """Every code point that the fold can change: those with a decomposition,
+    a case mapping or a map entry. The fold keeps any other code point as it
+    is, or drops it as a combining mark, so its keys fold to themselves."""
+    return [ch for ch in map(chr, range(sys.maxunicode + 1))
+            if unicodedata.decomposition(ch) or ch.lower() != ch or ch.upper() != ch
+            or ord(ch) in _CHAR_MAP]
+
+
+def test_normalize_name_folds_to_itself():
+    for ch in foldable():
+        for text in (ch, f"a{ch}z"):
+            key = nc.normalize_name(text)
+            assert nc.normalize_name(key) == key, (hex(ord(ch)), key)
+
+
+def test_normalize_name_keeps_every_fixed_point_of_the_map_first_fold():
+    """Where the earlier fold gave a key that folds to itself, the key is
+    unchanged; it changes only for the twelve code points it left unfolded."""
+    changed = set()
+    for ch in foldable():
+        for text in (ch, f"a{ch}z"):
+            earlier = map_first_normalize_name(text)
+            if map_first_normalize_name(earlier) == earlier:
+                assert nc.normalize_name(text) == earlier, hex(ord(ch))
+            else:
+                changed.add(ch)
+    assert sorted(changed) == sorted(REFOLDED)
+
+
+@pytest.mark.parametrize("ch", REFOLDED)
+def test_a_refolded_name_ingests_and_answers_pf(capsys, tmp_path, ch):
+    (tmp_path / "yob1950.txt").write_text(f"{ch}rjan,F,10\nẞenta,F,7\n", encoding="utf-8")
+    snapshot = str(tmp_path / "t.snap")
+    assert main(["ingest", str(tmp_path), "--out", snapshot]) == 0
+    for name, female in ((f"{ch}rjan", 10), ("ẞenta", 7)):
+        capsys.readouterr()
+        assert main(["pf", name, "--year", "1950", "--table", snapshot]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["female_count"], payload["male_count"]) == (female, 0)
+
+
+@pytest.mark.parametrize("ch", REFOLDED)
+def test_a_table_answers_for_the_earlier_key_of_a_refolded_name(ch):
+    table = nc.NameYearTable({(f"{ch}rjan", 1950): (10, 0)})
+    earlier = map_first_normalize_name(f"{ch}rjan")
+    assert nc.p_female(table, earlier, 1950).p_female == 1.0
+
+
+@pytest.mark.parametrize("ch", REFOLDED)
+def test_annual_share_identifies_a_refolded_name(ch):
+    table = nc.NameYearTable({(f"{ch}rjan", 1950): (10, 0), ("ada", 1950): (0, 3)})
+    record = nc.CorpusRecord(record_id="r1", venue="V", publication_year=1980,
+                             authors=(make_mention(f"{ch}rjan Smith"),
+                                      make_mention("Ada Jones")))
+    [point] = nc.annual_share([record], table)
+    assert (point.n_identified, point.share_female) == (2, 0.5)
+
+
+@pytest.mark.parametrize("ch", REFOLDED)
+def test_a_ledger_key_stamps_a_refolded_author(ch):
+    key = f"{map_first_normalize_name(ch).upper()}rjan Smith"
+    ledger_text = ledger_csv([(key, "F", None, None, None)])
+    corpus = [("V", 1980, [f"{ch}rjan Smith"])]
+    for parse, data in ((nc.parse_corpus_csv, io.StringIO(corpus_csv(corpus), newline="")),
+                        (nc.parse_dblp_subset, io.BytesIO(dblp_xml(corpus)))):
+        ledger = nc.read_override_ledger(io.StringIO(ledger_text, newline=""))
+        result = parse(data, ledger=ledger)
+        [record] = result.records
+        assert record.authors[0].override_gender == nc.Gender.FEMALE, parse.__name__
+        assert result.unmatched == []
 VENUES = ["SIGX", "sigx", "Conf, A", "J"]
 
 
@@ -55,8 +153,6 @@ def test_normalize_full_name_matches_whole_string_oracle():
     raws = [random_author(rng) for _ in range(20_000)]
     expected = [oracle_normalize_full_name(raw) for raw in raws]
     assert [nc.normalize_full_name(raw) for raw in raws] == expected
-    full_name = full_name_normalizer()
-    assert [full_name(raw) for raw in raws] == expected
 
 
 def test_dedup_authors_matches_whole_string_oracle():

@@ -153,6 +153,10 @@ class TestPresentBias:
         assert point.gap == 0.0
         assert report.mean_gap == 0.0
 
+    def test_no_records_give_no_gaps(self, fixture_table):
+        report = nc.present_bias_report([], fixture_table)
+        assert (report.points, report.mean_gap, report.max_gap) == ((), None, None)
+
     def test_stable_names_have_small_gap(self, fixture_table):
         records = [rec(year, "George A", "Mary B") for year in range(1950, 1960)]
         report = nc.present_bias_report(records, fixture_table, reference_year=2000)
