@@ -115,19 +115,25 @@ def _records(rows: Iterable[Row]) -> list[CorpusRecord]:
 def _year(text: str) -> int | None:
     """The year written in text as ASCII digits, white space around them
     allowed; None for any other text (int() would also take signs,
-    underscores and other scripts' digits)."""
+    underscores and other scripts' digits) and for more digits than int()
+    converts."""
     digits = text.strip()
-    return int(digits) if digits.isascii() and digits.isdigit() else None
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 @dataclass(slots=True)
 class CorpusParseResult:
-    """Parsed records plus a tally of rows or elements skipped in lenient
-    mode and, when a ledger was applied, its entries that matched nothing."""
+    """Parsed records, the count of rows or elements skipped in lenient mode
+    (a strict parse gives a skip's reason), and, when a ledger was applied,
+    its entries that matched nothing."""
 
     records: list[CorpusRecord] = field(default_factory=list)
     skipped: int = 0
-    problems: list[str] = field(default_factory=list)
     unmatched: list[OverrideEntry] = field(default_factory=list)
 
 
@@ -174,17 +180,16 @@ def _check_csv_row(row: list[str], lineno: int, mention: Callable[..., Mention])
 def _parse_csv(stream: IO[str] | Iterable[str], strict: bool, ledger: OverrideLedger | None,
                result: CorpusParseResult) -> Iterator[Row]:
     """The rows of :func:`parse_corpus_csv`, one per good CSV row as it is
-    read; skips are tallied in result as they happen, and the ledger's
-    unmatched entries stored in it once the stream is used up."""
+    read; skips are counted in result.skipped as they happen, and the
+    ledger's unmatched entries stored in result once the stream is used up."""
     mention, unmatched = _mentions(ledger)
     for lineno, cells in _csv_rows(stream, CSV_HEADER):
         try:
             row = _check_csv_row(cells, lineno, mention)
-        except CorpusFormatError as exc:
+        except CorpusFormatError:
             if strict:
                 raise
             result.skipped += 1
-            result.problems.append(str(exc))
             continue
         yield row
     result.unmatched = unmatched()
@@ -196,12 +201,12 @@ def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True,
     pipe-separated author strings, order preserved. A year is ASCII digits,
     white space around them allowed.
 
-    In strict mode the first bad row aborts with its line number; in lenient
-    mode bad rows are skipped and tallied in the result; a row the csv
-    module refuses aborts in either mode. Each author string is tokenized
-    once. The call caches two things per distinct token: the given name of
-    each given-name token and, with a ledger, whether each last token can
-    end a ledger key. A ledger, if given, is applied as
+    In strict mode the first bad row aborts with its line number and reason;
+    in lenient mode bad rows are skipped and only counted, in the result's
+    skipped; a row the csv module refuses aborts in either mode. Each author
+    string is tokenized once. The call caches two things per distinct token:
+    the given name of each given-name token and, with a ledger, whether each
+    last token can end a ledger key. A ledger, if given, is applied as
     :func:`apply_overrides` applies it, except that its unmatched entries
     are returned in the result, not logged.
     """
@@ -250,13 +255,13 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
     starts and at every element start outside a publication), whatever the
     file size, and the call's cache entries: one per distinct given-name
     token and, with a ledger, one per distinct last token, each normalized
-    once. A ledger, if given, is
-    applied as :func:`parse_corpus_csv` applies it. Publications missing a
-    key, a usable year (ASCII digits, white space around them allowed), or
-    any author are skipped and tallied; in strict
-    mode the first of them raises DblpParseError with the byte offset of
-    its start tag. Malformed XML raises DblpParseError with the byte offset. The input
-    may be a whole document or a root-less fragment stream. A document's
+    once. A ledger, if given, is applied as :func:`parse_corpus_csv` applies
+    it. Publications missing a key, a usable year (ASCII digits, white space
+    around them allowed), or any author are skipped and only counted, in the
+    result's skipped; in strict mode the first of them raises DblpParseError
+    with its reason and the byte offset of its start tag. Malformed XML
+    raises DblpParseError with the byte offset. The input may be a whole
+    document or a root-less fragment stream. A document's
     XML declaration and DOCTYPE are read as such, within the first 64 KiB:
     a byte stream is decoded by the declared encoding (a text stream is
     already decoded), and when the DOCTYPE names an external DTD, which is
@@ -274,9 +279,9 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
 def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedger | None,
                 result: CorpusParseResult) -> Iterator[Row]:
     """The rows of :func:`parse_dblp_subset`, those finished in each 64 KiB
-    chunk once it is parsed; skips are tallied in result as they happen,
-    and the ledger's unmatched entries stored in it once the stream is
-    used up.
+    chunk once it is parsed; skips are counted in result.skipped as they
+    happen, and the ledger's unmatched entries stored in result once the
+    stream is used up.
 
     The expat handlers are closures over this call's state. depth is 0
     outside a publication, 1 at its start tag and 2 in its direct children
@@ -361,7 +366,6 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
         if strict:
             raise DblpParseError(problem, input_offset(start))
         result.skipped += 1
-        result.problems.append(problem)
 
     def skipped_entity(name: str, is_parameter_entity: bool) -> None:
         """A reference to an entity the unread external DTD would declare:

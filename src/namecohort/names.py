@@ -56,11 +56,12 @@ def _author_tokens(raw: str) -> list[str]:
 
 
 def _first_name(token: str) -> str | None:
-    """The normalized first name of a given-name token; None when initial-only."""
-    first = normalize_name(token)
-    if not first or _INITIAL_RE.match(first):
-        return None
-    return first.strip(".,;:") or None
+    """The normalized first name of a given-name token; None when initial-only.
+    White space is stripped again after the punctuation, since a fold can
+    put a space next to it ("¨" folds to " "), and only then is the name
+    checked for an initial ("J¨." gives None, not "j")."""
+    first = normalize_name(token).strip(".,;:").strip()
+    return None if not first or _INITIAL_RE.match(first) else first
 
 
 def _key_part(token: str) -> str:

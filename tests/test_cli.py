@@ -68,6 +68,13 @@ class TestIngest:
         assert code == 1
         assert "no yobYYYY.txt year files" in stderr
 
+    @pytest.mark.parametrize("directory", ["fixture", "missing"])
+    def test_ingest_without_out_is_refused_before_any_directory_read(self, capsys, tmp_path,
+                                                                     directory):
+        path = FIXTURE_DIR if directory == "fixture" else str(tmp_path / "missing")
+        assert run(capsys, "ingest", path) == (
+            1, "", "error: ingest requires --out for the table snapshot\n")
+
     def test_ingest_corrupt_line_reports_file_and_line(self, capsys, tmp_path):
         bad = tmp_path / "yob1980.txt"
         bad.write_text("Ada,F,10\nAda,Q,5\n")
@@ -219,6 +226,12 @@ class TestShifts:
         code, _, stderr = run(capsys, "shifts", "--from", "1900", "--to", "2000")
         assert code == 1
         assert "choose exactly one" in stderr
+
+    def test_negative_min_births_is_refused_before_the_table_is_read(self, capsys, tmp_path):
+        code, stdout, stderr = run(capsys, "shifts", "--from", "1925", "--to", "1975",
+                                   "--unstable", "--min-births", "-1",
+                                   "--table", str(tmp_path / "missing.snap"))
+        assert (code, stdout, stderr) == (1, "", "error: min_total_births must be >= 0\n")
 
     @pytest.mark.parametrize("net", [[], ["--net"]])
     def test_inverted_year_pair_is_refused_when_no_name_is_read(self, capsys, net):

@@ -135,16 +135,17 @@ class TestCorpusCsv:
         assert fragment in str(excinfo.value)
 
     def test_lenient_mode_skips_and_tallies(self):
-        stream = io.StringIO(
+        text = (
             "record_id,venue,year,authors\n"
             "a1,X,1980,Ann\n"
             "a2,X,80,Bob\n"
             "a3,X,1990,Cee\n"
         )
-        result = nc.parse_corpus_csv(stream, strict=False)
+        result = nc.parse_corpus_csv(io.StringIO(text), strict=False)
         assert [r.record_id for r in result.records] == ["a1", "a3"]
         assert result.skipped == 1
-        assert "line 3" in result.problems[0]
+        with pytest.raises(CorpusFormatError, match="^line 3: year 80 out of range"):
+            nc.parse_corpus_csv(io.StringIO(text))
 
     def test_round_trip_is_identity(self):
         text = (
@@ -239,7 +240,9 @@ class TestDblpSubset:
         result = nc.parse_dblp_subset(io.BytesIO(xml))
         assert result.records == []
         assert result.skipped == 1
-        assert "missing year" in result.problems[0]
+        with pytest.raises(DblpParseError) as excinfo:
+            nc.parse_dblp_subset(io.BytesIO(xml), strict=True)
+        assert str(excinfo.value) == f"byte {xml.index(b'<article')}: a: missing year"
 
     def test_missing_key_or_authors_skipped(self):
         xml = (b'<dblp>'
@@ -581,9 +584,10 @@ def test_serialize_rejects_an_author_holding_the_separator():
         nc.serialize_corpus_csv(records)
 
 
-# int() takes each of these as 1990 (or -1990); a year cell takes only ASCII digits.
+# int() takes each of these as 1990 (or -1990), except the last, which has
+# more digits than int() converts; a year cell takes only ASCII digits.
 NOT_ASCII_DIGIT_YEARS = ["1_990", "+1990", "-1990", "١٩٩٠",
-                         "１９９０", "¹990"]
+                         "１９９０", "¹990", pytest.param("1" * 5000, id="5000-digits")]
 
 
 @pytest.mark.parametrize("year", NOT_ASCII_DIGIT_YEARS)
@@ -592,16 +596,17 @@ def test_corpus_year_cells_take_only_ascii_digits(year):
     xml = (f'<dblp><article key="a1"><author>Ann Lee</author><year>1990</year></article>'
            f'<article key="a2"><author>Bo Lee</author><year>{year}</year></article>'
            f'</dblp>').encode("utf-8")
-    csv_result = nc.parse_corpus_csv(io.StringIO(csv_text), strict=False)
-    dblp_result = nc.parse_dblp_subset(io.BytesIO(xml))
-    for result, problem in ((csv_result, f"line 3: invalid year {year!r}"),
-                            (dblp_result, f"a2: invalid year {year!r}")):
+    for result in (nc.parse_corpus_csv(io.StringIO(csv_text), strict=False),
+                   nc.parse_dblp_subset(io.BytesIO(xml))):
         assert [r.record_id for r in result.records] == ["a1"]
-        assert (result.skipped, result.problems) == (1, [problem])
-    with pytest.raises(CorpusFormatError, match="line 3: invalid year"):
+        assert result.skipped == 1
+    with pytest.raises(CorpusFormatError) as excinfo:
         nc.parse_corpus_csv(io.StringIO(csv_text))
-    with pytest.raises(DblpParseError, match="a2: invalid year"):
+    assert str(excinfo.value) == f"line 3: invalid year {year!r}"
+    with pytest.raises(DblpParseError) as excinfo:
         nc.parse_dblp_subset(io.BytesIO(xml), strict=True)
+    offset = xml.index(b'<article key="a2"')
+    assert str(excinfo.value) == f"byte {offset}: a2: invalid year {year!r}"
     header = "key,gender,year_from,year_to,venue,source_note\nann lee,F,,,,note\n"
     for row, column in ((f"bo lee,F,{year},,,note", "year_from"),
                         (f"bo lee,F,,{year},,note", "year_to")):

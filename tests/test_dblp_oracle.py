@@ -73,21 +73,21 @@ def publication(rng: random.Random, key: str, entities: bool) -> str:
     return f"<{tag}{attributes}>" + between.join(children) + f"</{tag}>\n"
 
 
-def document(seed: int) -> tuple[bytes, list[int], list[tuple[int, int]]]:
-    """A valid document, the byte offset of each publication's start tag in
-    document order, and the byte span of each publication."""
+def document(seed: int) -> tuple[bytes, list[tuple[int, int]]]:
+    """A valid document and the byte span of each publication in document
+    order, from its start tag's offset to the end of its end tag."""
     rng = random.Random(seed)
     encoding = rng.choice(["UTF-8", "ISO-8859-1", None])
     entities = encoding is not None
-    out, starts, spans = bytearray(), [], []
+    out, spans = bytearray(), []
 
     def emit(text: str) -> None:
         out.extend(text.encode(encoding or "UTF-8", "xmlcharrefreplace"))
 
     def emit_publication(i: int) -> None:
-        starts.append(len(out))
+        start = len(out)
         emit(publication(rng, f"k/{i}", entities))
-        spans.append((starts[-1], len(out)))
+        spans.append((start, len(out)))
 
     if encoding is not None:
         emit(DUMP_HEADER.format(encoding))
@@ -110,7 +110,7 @@ def document(seed: int) -> tuple[bytes, list[int], list[tuple[int, int]]]:
         else:
             emit_publication(i)
     emit("</dblp>\n")
-    return bytes(out), starts, spans
+    return bytes(out), spans
 
 
 def parsed(stream, strict: bool) -> tuple[list, CorpusParseResult]:
@@ -127,31 +127,42 @@ SEEDS = range(24)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dblp_rows_match_the_element_tree_oracle(seed):
-    data, starts, _ = document(seed)
+    data, spans = document(seed)
     publications = oracle_dblp(data)
-    assert len(publications) == len(starts)
-    problems = [p for p in publications if isinstance(p, str)]
+    assert len(publications) == len(spans)
+    skips = [(span, p) for span, p in zip(spans, publications) if isinstance(p, str)]
     expected = [(key, venue, year, [(raw, nc.extract_first_name(raw), None) for raw in authors])
                 for key, venue, year, authors in (p for p in publications if isinstance(p, tuple))]
     for stream in (io.BytesIO(data), io.StringIO(data.decode(encoding(data)))):
         rows, result = parsed(stream, strict=False)
         assert rows == expected
-        assert (result.skipped, result.problems) == (len(problems), problems)
-    if problems:
-        start = starts[publications.index(problems[0])]
-        with pytest.raises(DblpParseError) as excinfo:
-            parsed(io.BytesIO(data), strict=True)
-        assert str(excinfo.value) == f"byte {start}: {problems[0]}"
-    else:
-        assert parsed(io.BytesIO(data), strict=True)[0] == expected
+        assert result.skipped == len(skips)
+    # A strict parse stops at the first skip left in the document. Blanking
+    # each skipped publication in turn, with spaces of its byte length, moves
+    # it on to the next one and keeps every byte offset. A text stream's
+    # offsets count the bytes of its UTF-8 encoding.
+    def streams(doc: bytes):
+        yield io.BytesIO(doc), lambda start: start
+        yield (io.StringIO(doc.decode(encoding(data))),
+               lambda start: len(doc[:start].decode(encoding(data)).encode()))
+
+    blanked = bytearray(data)
+    for (start, end), problem in skips:
+        for stream, offset in streams(bytes(blanked)):
+            with pytest.raises(DblpParseError) as excinfo:
+                parsed(stream, strict=True)
+            assert str(excinfo.value) == f"byte {offset(start)}: {problem}"
+        blanked[start:end] = b" " * (end - start)
+    for stream, _ in streams(bytes(blanked)):
+        assert parsed(stream, strict=True)[0] == expected
 
 
 def test_dblp_documents_cover_every_case():
     cases = [document(seed) for seed in SEEDS]
     assert any(start // _CHUNK_SIZE != (end - 1) // _CHUNK_SIZE
-               for _, _, spans in cases for start, end in spans)
+               for _, spans in cases for start, end in spans)
     outcomes = [p if isinstance(p, str) else "row"
-                for data, _, _ in cases for p in oracle_dblp(data)]
+                for data, _ in cases for p in oracle_dblp(data)]
     for outcome in ("row", "<article> without key", "<inproceedings> without key",
                     "missing year", "invalid year", "out of range", "no authors"):
         assert any(outcome in o for o in outcomes), outcome

@@ -25,7 +25,7 @@ import pytest
 import namecohort as nc
 from namecohort.cli import main
 from namecohort.corpus import CSV_HEADER, make_mention
-from namecohort.names import _CHAR_MAP, csv_text
+from namecohort.names import _CHAR_MAP, _INITIAL_RE, _first_name, csv_text
 from oracles import oracle_apply_overrides, oracle_normalize_full_name
 
 GIVEN = ["José", "ΣΟΦΙΑ", "Σοφια", "İlkay", "Jürgen", "ﬁona", "Æsa", "Ørjan", "Łukasz",
@@ -86,6 +86,43 @@ def test_normalize_name_keeps_every_fixed_point_of_the_map_first_fold():
             else:
                 changed.add(ch)
     assert sorted(changed) == sorted(REFOLDED)
+
+
+def earlier_first_name(token: str) -> str | None:
+    """_first_name as it was before it stripped white space again after the
+    punctuation, frozen here (over today's fold)."""
+    first = nc.normalize_name(token)
+    if not first or _INITIAL_RE.match(first):
+        return None
+    return first.strip(".,;:") or None
+
+
+def assigned() -> list[str]:
+    """Every code point but the unassigned, private-use and surrogate ones.
+    Those have no decomposition, case mapping or combining class and are
+    not white space, so the fold keeps each of them as it is."""
+    return [ch for ch in map(chr, range(sys.maxunicode + 1))
+            if unicodedata.category(ch) not in ("Cn", "Co", "Cs")]
+
+
+def test_a_given_name_folds_to_itself():
+    """The given name of a token is a key: normalize_name keeps it. Where
+    the earlier given name was a key, it is unchanged; elsewhere a fold had
+    put white space next to the punctuation ("mary¨." gave "mary "). Such
+    white space does not hide an initial either: "J¨." is initial-only."""
+    changed = set()
+    for ch in assigned():
+        for token in (f"mary{ch}.", f".{ch}mary"):
+            first, earlier = _first_name(token), earlier_first_name(token)
+            if earlier is None or nc.normalize_name(earlier) == earlier:
+                assert first == earlier, (hex(ord(ch)), token)
+            else:
+                changed.add(ch)
+                assert first is not None and nc.normalize_name(first) == first, hex(ord(ch))
+    assert set("¨¯´¸˘˙˚˛˜˝ͺ΄΅᾽᾿\u00a0\u2003") <= changed
+    for ch in changed:
+        assert _first_name(f"J{ch}.") is None, hex(ord(ch))
+        assert _first_name(f"j{ch}.") is None, hex(ord(ch))
 
 
 @pytest.mark.parametrize("ch", REFOLDED)

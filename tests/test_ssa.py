@@ -180,6 +180,21 @@ def test_table_lookup_normalizes_queried_name(fixture_table):
     assert ("Leslie", 1900) in fixture_table
 
 
+def test_an_absent_year_of_a_present_name_has_no_counts(fixture_table):
+    assert fixture_table.counts("leslie", 1900) is not None
+    assert fixture_table.counts("leslie", 1901) is None
+    assert ("leslie", 1901) not in fixture_table
+
+
+def test_a_table_never_equals_another_type(fixture_table):
+    assert (fixture_table == object()) is False
+
+
+def test_repr_gives_entries_and_year_range(fixture_table):
+    assert repr(fixture_table) == "NameYearTable(71 entries, years 1900-2000)"
+    assert repr(nc.NameYearTable({})) == "NameYearTable(0 entries, years empty)"
+
+
 def test_table_rejects_empty_and_negative_entries():
     with pytest.raises(ValueError):
         nc.NameYearTable({("a", 1950): (0, 0)})
