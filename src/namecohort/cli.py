@@ -287,10 +287,14 @@ _MODE_OPTIONS = "_mode_options"
 
 class _ModeOption(argparse.Action):
     """Store an option that only one mode of its command reads (store_true
-    when nargs=0), noting that it was given so the parser can check the mode."""
+    when nargs=0), noting that it was given so the parser can check the mode.
+    The mode is the flag that must also be given, or, with reads, a text
+    naming the setting for which reads(namespace) is true."""
 
-    def __init__(self, option_strings, dest, mode: str, nargs=None, **kwargs):
+    def __init__(self, option_strings, dest, mode: str, reads=None, nargs=None, **kwargs):
+        flag = mode.lstrip("-").replace("-", "_")
         self.mode = mode
+        self.reads = reads or (lambda namespace: getattr(namespace, flag) not in (None, False))
         super().__init__(option_strings, dest, nargs=nargs,
                          const=True if nargs == 0 else None, **kwargs)
 
@@ -306,7 +310,7 @@ class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         for action, command in vars(namespace).pop(_MODE_OPTIONS, ()):
-            if getattr(namespace, action.mode.lstrip("-").replace("-", "_")) in (None, False):
+            if not action.reads(namespace):
                 command.error(f"{action.option_strings[0]} is read only with {action.mode}")
         return namespace, extras
 
@@ -425,9 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aggregate a corpus into a women's-share series")
     p.add_argument("--estimator", choices=ESTIMATORS, default=ESTIMATORS[0],
                    help="aggregation convention")
-    p.add_argument("--unknown-value", type=float, default=0.5,
+    p.add_argument("--unknown-value", action=_ModeOption,
+                   mode=f"--estimator {ESTIMATORS[0]} without --display-encoding",
+                   reads=lambda a: a.estimator == ESTIMATORS[0] and not a.display_encoding,
+                   type=float, default=0.5,
                    help="contribution of an unidentified author under weighted-mean")
-    p.add_argument("--display-encoding", action="store_true",
+    p.add_argument("--display-encoding", action=_ModeOption, nargs=0,
+                   mode=f"--estimator {ESTIMATORS[0]}",
+                   reads=lambda a: a.estimator == ESTIMATORS[0], default=False,
                    help="map classified mentions to 0.95/0.05/0.5 before averaging")
     p.add_argument("--bin-width", type=int, default=1, help="bin width in years")
     p.add_argument("--group-by-venue", action="store_true",

@@ -17,7 +17,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 from .model import Gender
 from .names import (_author_tokens, _first_name, _full_key, _key_part, csv_text,
                     extract_first_name, normalize_full_name)
-from .ssa import _undecodable_line
+from .ssa import _excerpt, _undecodable_line
 
 __all__ = [
     "AuthorMention", "CorpusRecord", "CorpusParseResult", "CorpusFormatError",
@@ -165,9 +165,9 @@ def _check_csv_row(row: list[str], lineno: int, mention: Callable[..., Mention])
     record_id, venue, raw_year, raw_authors = row
     year = _year(raw_year)
     if year is None:
-        raise CorpusFormatError(f"invalid year {raw_year!r}", lineno)
+        raise CorpusFormatError(f"invalid year {_excerpt(raw_year)}", lineno)
     if not (MIN_PLAUSIBLE_YEAR <= year <= MAX_PLAUSIBLE_YEAR):
-        raise CorpusFormatError(f"year {year} out of range "
+        raise CorpusFormatError(f"year {_excerpt(year)} out of range "
                                 f"{MIN_PLAUSIBLE_YEAR}-{MAX_PLAUSIBLE_YEAR}", lineno)
     if not raw_authors:
         raise CorpusFormatError("empty authors field", lineno)
@@ -353,17 +353,19 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
         if not key:
             problem = f"<{tag}> without key attribute"
         elif year is None:
-            problem = f"{key}: missing year"
+            problem = "missing year"
         elif number is None:
-            problem = f"{key}: invalid year {year!r}"
+            problem = f"invalid year {_excerpt(year)}"
         elif not (MIN_PLAUSIBLE_YEAR <= number <= MAX_PLAUSIBLE_YEAR):
-            problem = f"{key}: year {number} out of range"
+            problem = f"year {_excerpt(number)} out of range"
         elif not names:
-            problem = f"{key}: no authors"
+            problem = "no authors"
         else:
             rows.append((key, venue, number, [mention(a, venue, number) for a in names]))
             return
         if strict:
+            if key:
+                problem = f"{_excerpt(key, quote=False)}: {problem}"
             raise DblpParseError(problem, input_offset(start))
         result.skipped += 1
 
@@ -433,11 +435,11 @@ class OverrideEntry:
         if not self.key:  # it would match every honorific-only author
             raise ValueError("override with an empty key")
         if not self.source_note.strip():
-            raise ValueError(f"override for {self.key!r} lacks a source note")
+            raise ValueError(f"override for {_excerpt(self.key)} lacks a source note")
         if (self.year_from is not None and self.year_to is not None
                 and self.year_from > self.year_to):
-            raise ValueError(f"override for {self.key!r} has year_from {self.year_from} "
-                             f"after year_to {self.year_to}")
+            raise ValueError(f"override for {_excerpt(self.key)} has year_from "
+                             f"{_excerpt(self.year_from)} after year_to {_excerpt(self.year_to)}")
 
     def applies_to(self, venue: str, year: int) -> bool:
         if self.year_from is not None and year < self.year_from:
@@ -453,24 +455,22 @@ class OverrideLedger:
     """An ordered set of override entries with unique (key, scope) tuples."""
 
     def __init__(self, entries: Iterable[OverrideEntry]):
-        self._entries: list[OverrideEntry] = []
+        self._by_scope: dict[tuple, OverrideEntry] = {}  # in ledger order
         self._by_key: dict[str, list[OverrideEntry]] = {}
-        self._scopes: set[tuple] = set()
         for entry in entries:
             self._add(entry)
 
     def _add(self, entry: OverrideEntry) -> None:
         """Append an entry; a repeated (key, scope) raises ValueError."""
         scope = (entry.key, entry.year_from, entry.year_to, entry.venue)
-        if scope in self._scopes:
-            raise ValueError(f"duplicate override key/scope {scope}")
-        self._scopes.add(scope)
-        self._entries.append(entry)
+        if scope in self._by_scope:
+            raise ValueError(f"duplicate override key/scope ({', '.join(map(_excerpt, scope))})")
+        self._by_scope[scope] = entry
         self._by_key.setdefault(entry.key, []).append(entry)
 
     @property
     def entries(self) -> tuple[OverrideEntry, ...]:
-        return tuple(self._entries)
+        return tuple(self._by_scope.values())
 
     def match(self, full_name_key: str, venue: str, year: int) -> OverrideEntry | None:
         """First entry (in ledger order) matching the key within scope."""
@@ -480,7 +480,7 @@ class OverrideLedger:
         return None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_scope)
 
 
 def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
@@ -498,12 +498,12 @@ def read_override_ledger(stream: IO[str] | Iterable[str]) -> OverrideLedger:
             raise CorpusFormatError(f"expected 6 columns, got {len(row)}", lineno)
         key, raw_gender, year_from, year_to, venue, note = row
         if raw_gender not in ("F", "M", "U"):
-            raise CorpusFormatError(f"invalid gender {raw_gender!r}", lineno)
+            raise CorpusFormatError(f"invalid gender {_excerpt(raw_gender)}", lineno)
         scope = []
         for column, text in (("year_from", year_from), ("year_to", year_to)):
             scope.append(_year(text))
             if scope[-1] is None and text.strip():
-                raise CorpusFormatError(f"invalid {column} {text!r}", lineno)
+                raise CorpusFormatError(f"invalid {column} {_excerpt(text)}", lineno)
         try:
             ledger._add(OverrideEntry(
                 key=normalize_full_name(key),

@@ -38,6 +38,20 @@ _HEADER = struct.Struct("<QQQI")
 _SWAP = sys.byteorder == "big"
 
 
+_EXCERPT = 40  # the most characters of an input value that an error message shows
+
+
+def _excerpt(value: object, quote: bool = True) -> str:
+    """The value as an error message shows it: a string by repr() when
+    quote is set, anything else by str(). A value whose text runs over
+    _EXCERPT characters shows only its first _EXCERPT, then its length."""
+    text = str(value)
+    show = repr if quote and isinstance(value, str) else str
+    if len(text) > _EXCERPT:
+        return f"{show(text[:_EXCERPT])}… ({len(text)} characters)"
+    return show(text)
+
+
 class SsaFormatError(ValueError):
     """A malformed line in a year file; carries the 1-based line number."""
 
@@ -108,7 +122,7 @@ class NameYearTable:
     DuplicateEntryError.
     """
 
-    __slots__ = ("years", "females", "males", "_offsets", "_names", "_spans", "_year_range")
+    __slots__ = ("years", "females", "males", "_offsets", "_spans", "_year_range")
 
     def __init__(self, counts: Mapping[tuple[str, int], tuple[int, int]]):
         normalize = functools.cache(normalize_name)
@@ -140,10 +154,9 @@ class NameYearTable:
 
     def _set_columns(self, names: list[str], offsets: array, years: array, females: array,
                      males: array) -> None:
-        self._names = tuple(names)
         self._offsets = offsets
         self.years, self.females, self.males = years, females, males
-        self._spans = dict(zip(self._names, zip(offsets, offsets[1:])))
+        self._spans = dict(zip(names, zip(offsets, offsets[1:])))
         self._year_range = (
             (min(map(years.__getitem__, offsets[:-1])),
              max(years[hi - 1] for hi in offsets[1:]))
@@ -174,7 +187,7 @@ class NameYearTable:
 
     def names(self) -> tuple[str, ...]:
         """All names in the table, sorted."""
-        return self._names
+        return tuple(self._spans)
 
     def __len__(self) -> int:
         return len(self.years)
@@ -185,9 +198,8 @@ class NameYearTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NameYearTable):
             return NotImplemented
-        return (self._names == other._names and self._offsets == other._offsets
-                and self.years == other.years and self.females == other.females
-                and self.males == other.males)
+        return (self._spans == other._spans and self.years == other.years
+                and self.females == other.females and self.males == other.males)
 
     def __repr__(self) -> str:
         span = f"{self._year_range[0]}-{self._year_range[1]}" if self._year_range else "empty"
@@ -285,9 +297,9 @@ def _fill_year(slots: _Slots, by_raw: _Slots, year: int, stream: IO[str] | Itera
             elif sex == "M":
                 side, raw_side = males, male_raw
             else:
-                raise SsaFormatError(f"invalid sex code {sex!r}", lineno, path)
+                raise SsaFormatError(f"invalid sex code {_excerpt(sex)}", lineno, path)
             if not (raw_count.isascii() and raw_count.isdecimal()):
-                raise SsaFormatError(f"invalid count {raw_count!r}", lineno, path)
+                raise SsaFormatError(f"invalid count {_excerpt(raw_count)}", lineno, path)
             try:
                 count = int(raw_count)
             except ValueError:  # more digits than int() converts

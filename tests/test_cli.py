@@ -760,10 +760,11 @@ def test_command_accepts_and_records_only_the_flags_it_reads(capsys, tmp_path, c
 
 
 SHIFTS = ["shifts", "--from", "1925", "--to", "1975"]
-# Flags that only one mode of their command reads: a command line in a mode
+# Flags that only one mode of their command reads, keyed by the flag (and,
+# after a "+", what the refused command line gives): a command line in a mode
 # that does not read the flag, the flag with a value and (where it takes
 # one) at its default, the mode that reads it, and a command line in that mode
-# ({ids} is a file of ten ids).
+# ({ids} is a file of ten ids, {corpus} a one-row corpus).
 MODE_FLAGS = {
     "shift": (["pf", "Johnnie", "--year", "1960"], [["--shift", "5"], ["--shift", "30"]],
               "--pub-year", ["pf", "Johnnie", "--pub-year", "1990"]),
@@ -782,15 +783,30 @@ MODE_FLAGS = {
              ["sample", "--ids-file", "{ids}", "--seed", "1"]),
     "size": (["sample", "--population-size", "600"], [["--size", "5"]], "--ids-file",
              ["sample", "--ids-file", "{ids}", "--seed", "1"]),
+    "display-encoding": (["analyze", "--corpus", "{corpus}", "--estimator", "classified-share"],
+                         [["--display-encoding"]], "--estimator weighted-mean",
+                         ["analyze", "--corpus", "{corpus}"]),
+    "unknown-value+display-encoding": (
+        ["analyze", "--corpus", "{corpus}", "--display-encoding"],
+        [["--unknown-value", "0.3"], ["--unknown-value", "0.5"]],
+        "--estimator weighted-mean without --display-encoding",
+        ["analyze", "--corpus", "{corpus}"]),
+    "unknown-value+classified-share": (
+        ["analyze", "--corpus", "{corpus}", "--estimator", "classified-share"],
+        [["--unknown-value", "0.3"], ["--unknown-value", "0.5"]],
+        "--estimator weighted-mean without --display-encoding",
+        ["analyze", "--corpus", "{corpus}"]),
 }
 
 
 @pytest.mark.parametrize("flag", MODE_FLAGS)
 def test_mode_specific_flag_is_rejected_outside_its_mode(capsys, tmp_path, flag):
     argv, variants, mode, in_mode = MODE_FLAGS[flag]
-    ids = tmp_path / "ids.txt"
+    ids, corpus = tmp_path / "ids.txt", tmp_path / "c.csv"
     ids.write_text("".join(f"id{i}\n" for i in range(10)))
-    in_mode = [arg.format(ids=ids) for arg in in_mode]
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A|George B\n")
+    argv, in_mode = ([arg.format(ids=ids, corpus=corpus) for arg in args]
+                     for args in (argv, in_mode))
     out = tmp_path / "out"
     for given in variants:
         with pytest.raises(SystemExit) as excinfo:
@@ -803,7 +819,7 @@ def test_mode_specific_flag_is_rejected_outside_its_mode(capsys, tmp_path, flag)
     for extra in ([], variants[0]):
         assert main([*in_mode, *extra, "--out", str(out)]) == 0
         options = json.loads(Path(f"{out}.manifest.json").read_text())["options"]
-        recorded.append(options[flag.replace("-", "_")])
+        recorded.append(options[variants[0][0].lstrip("-").replace("-", "_")])
     assert recorded[0] != recorded[1]
 
 

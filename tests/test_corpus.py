@@ -600,19 +600,82 @@ def test_corpus_year_cells_take_only_ascii_digits(year):
                    nc.parse_dblp_subset(io.BytesIO(xml))):
         assert [r.record_id for r in result.records] == ["a1"]
         assert result.skipped == 1
+    # an error message shows at most 40 characters of the value
+    echo = repr(year) if len(year) <= 40 else f"{year[:40]!r}… ({len(year)} characters)"
     with pytest.raises(CorpusFormatError) as excinfo:
         nc.parse_corpus_csv(io.StringIO(csv_text))
-    assert str(excinfo.value) == f"line 3: invalid year {year!r}"
+    assert str(excinfo.value) == f"line 3: invalid year {echo}"
     with pytest.raises(DblpParseError) as excinfo:
         nc.parse_dblp_subset(io.BytesIO(xml), strict=True)
     offset = xml.index(b'<article key="a2"')
-    assert str(excinfo.value) == f"byte {offset}: a2: invalid year {year!r}"
+    assert str(excinfo.value) == f"byte {offset}: a2: invalid year {echo}"
     header = "key,gender,year_from,year_to,venue,source_note\nann lee,F,,,,note\n"
     for row, column in ((f"bo lee,F,{year},,,note", "year_from"),
                         (f"bo lee,F,,{year},,note", "year_to")):
         with pytest.raises(CorpusFormatError, match=f"line 3: invalid {column}") as excinfo:
             nc.read_override_ledger(io.StringIO(f"{header}{row}\n"))
         assert excinfo.value.lineno == 3
+
+
+def _csv_parse(year):
+    text = f"record_id,venue,year,authors\na1,X,{year},Ann Lee\n"
+    return lambda strict: nc.parse_corpus_csv(io.StringIO(text), strict=strict)
+
+
+def _dblp_parse(key, year):
+    xml = f'<dblp><article key="{key}"><author>Ann Lee</author>{year}</article></dblp>'
+    return lambda strict: nc.parse_dblp_subset(io.BytesIO(xml.encode()), strict=strict)
+
+
+def _ledger_parse(*rows):
+    text = "".join(f"{row}\n" for row in ("key,gender,year_from,year_to,venue,source_note",
+                                           *rows))
+    return lambda strict: nc.read_override_ledger(io.StringIO(text))
+
+
+def _year_file_parse(line):
+    return lambda strict: nc.parse_year_file(io.StringIO(f"{line}\n"), 1990)
+
+
+# Each input value that an error message echoes: the character the value is
+# made of, and the parse (strict or not) that fails on it. The corpus parses
+# skip the row when lenient; the others have no lenient mode. A year of
+# digits is echoed as the int that it is, at most 4,300 digits.
+ECHOED_VALUES = {
+    "csv year": ("x", _csv_parse),
+    "csv year out of range": ("9", _csv_parse),
+    "dblp key": ("x", lambda v: _dblp_parse(v, "")),
+    "dblp year": ("x", lambda v: _dblp_parse("k", f"<year>{v}</year>")),
+    "dblp year out of range": ("9", lambda v: _dblp_parse("k", f"<year>{v}</year>")),
+    "ledger key without a note": ("x", lambda v: _ledger_parse(f"{v},F,,,,")),
+    "ledger key with years out of order": ("x", lambda v: _ledger_parse(f"{v},F,1990,1980,,n")),
+    "ledger year_from after year_to": ("9", lambda v: _ledger_parse(f"a,F,{v},1980,,n")),
+    "ledger scope": ("x", lambda v: _ledger_parse(f"a,F,,,{v},n", f"a,F,,,{v},n")),
+    "ledger gender": ("x", lambda v: _ledger_parse(f"a,{v},,,,n")),
+    "ledger year_from": ("x", lambda v: _ledger_parse(f"a,F,{v},,,n")),
+    "ledger year_to": ("x", lambda v: _ledger_parse(f"a,F,,{v},,n")),
+    "year-file sex": ("x", lambda v: _year_file_parse(f"Ann,{v},5")),
+    "year-file count": ("x", lambda v: _year_file_parse(f"Ann,F,{v}")),
+}
+
+
+@pytest.mark.parametrize("site", ECHOED_VALUES)
+def test_an_error_message_shows_at_most_40_characters_of_a_value(site):
+    char, parse_of = ECHOED_VALUES[site]
+    length = 4300 if char == "9" else 100_000  # int() converts at most 4,300 digits
+    for value in (char * 40, char * length):
+        parse = parse_of(value)
+        with pytest.raises(ValueError) as excinfo:
+            parse(True)
+        message = str(excinfo.value)
+        assert char * 40 in message and char * 41 not in message
+        if len(value) > 40:
+            assert len(message) < 200 and f"… ({length} characters)" in message
+        else:
+            assert "characters)" not in message
+        if site.startswith(("csv", "dblp")):
+            result = parse(False)
+            assert (result.records, result.skipped) == ([], 1)
 
 
 def test_year_cells_allow_white_space_around_the_digits():
