@@ -10,7 +10,6 @@ any result can be re-derived.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ from . import __version__, model, ssa
 from .names import csv_text, normalize_name
 
 if TYPE_CHECKING:
-    from . import corpus, shifts
+    from . import corpus
 
 # corpus, trend, sampling and shifts are imported by the commands that use
 # them, so that each command loads only what it runs.
@@ -147,21 +146,10 @@ def cmd_pf(args: argparse.Namespace) -> int:
         payload["year_shift"] = args.shift
     else:
         estimate = model.p_female(table, args.name, args.year, args.max_fallback)
-    payload.update({
-        "p_female": estimate.p_female,
-        "female_count": estimate.female_count,
-        "male_count": estimate.male_count,
-        "lookup_year": estimate.lookup_year,
-        "fallback_distance": estimate.fallback_distance,
-    })
+    payload.update(estimate._asdict())
     data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     _write_output(args, data, lambda: build_manifest(args, [args.table]))
     return 0
-
-
-def _shift_records_csv(records: list[shifts.ShiftRecord]) -> bytes:
-    rows = [(r.name, r.p_start, r.p_end, r.delta, r.weight) for r in records]
-    return csv_text([("name", "p_start", "p_end", "delta", "weight"), *rows]).encode("utf-8")
 
 
 def cmd_shifts(args: argparse.Namespace) -> int:
@@ -175,11 +163,8 @@ def cmd_shifts(args: argparse.Namespace) -> int:
     if args.top is not None:
         shifts._check_top(args.top)
     if args.unstable:
-        config = shifts.InstabilityConfig(
-            sample_years=tuple(args.sample_years),
-            range_threshold=args.range_threshold,
-            min_total_births=args.min_births,
-        )
+        config = shifts.InstabilityConfig(tuple(args.sample_years), args.range_threshold,
+                                          args.min_births)
     model._check_max_fallback(args.max_fallback)
     shifts._check_years(y1, y2)
     table = _load_table(args)
@@ -205,10 +190,11 @@ def cmd_shifts(args: argparse.Namespace) -> int:
                    "names": [r.name for r in records], "net_female_shift": value}
         data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     elif args.format == "json":
-        payload = [dataclasses.asdict(r) for r in records]
+        payload = [r._asdict() for r in records]
         data = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     else:
-        data = _shift_records_csv(records)
+        rows = [r._asdict().values() for r in records]
+        data = csv_text([shifts.ShiftRecord.__slots__, *rows]).encode("utf-8")
     _write_output(args, data, lambda: build_manifest(args, [args.table]))
     return 0
 
@@ -235,7 +221,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return 1
     spec = sampling.sample_size(population, args.margin, args.confidence)
     manifest = build_manifest(args, [args.ids_file])
-    header = {"spec": dataclasses.asdict(spec), "manifest": manifest}
+    header = {"spec": spec._asdict(), "manifest": manifest}
     lines = [json.dumps(header, sort_keys=True)]
     if ids is not None:
         n = args.size if args.size is not None else spec.computed_n
@@ -441,9 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=int, default=1, help="bin width in years")
     p.add_argument("--group-by-venue", action="store_true",
                    help="emit one series per venue")
-    p.add_argument("--tau-female", type=float, default=0.8,
+    classifies = dict(mode=f"--estimator {ESTIMATORS[1]} or --display-encoding",
+                      reads=lambda a: a.estimator == ESTIMATORS[1] or a.display_encoding)
+    p.add_argument("--tau-female", action=_ModeOption, **classifies, type=float, default=0.8,
                    help="classify Female at or above this p(F)")
-    p.add_argument("--tau-male", type=float, default=0.2,
+    p.add_argument("--tau-male", action=_ModeOption, **classifies, type=float, default=0.2,
                    help="classify Male at or below this p(F)")
     p.set_defaults(func=cmd_analyze)
 

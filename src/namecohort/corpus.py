@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .model import Gender
-from .names import (_author_tokens, _first_name, _full_key, _key_part, csv_text,
+from .names import (Value, _author_tokens, _first_name, _full_key, _key_part, csv_text,
                     extract_first_name, normalize_full_name)
 from .ssa import _excerpt, _undecodable_line
 
@@ -86,11 +86,11 @@ class CorpusRecord:
 
     def __post_init__(self):
         if not self.authors:
-            raise ValueError(f"record {self.record_id!r} has no authors")
+            raise ValueError(f"record {_excerpt(self.record_id)} has no authors")
         if not (MIN_PLAUSIBLE_YEAR <= self.publication_year <= MAX_PLAUSIBLE_YEAR):
             raise ValueError(
-                f"record {self.record_id!r} year {self.publication_year} outside "
-                f"{MIN_PLAUSIBLE_YEAR}-{MAX_PLAUSIBLE_YEAR}"
+                f"record {_excerpt(self.record_id)} year {_excerpt(self.publication_year)} "
+                f"outside {MIN_PLAUSIBLE_YEAR}-{MAX_PLAUSIBLE_YEAR}"
             )
 
     def __iter__(self) -> Iterator:
@@ -126,15 +126,17 @@ def _year(text: str) -> int | None:
         return None
 
 
-@dataclass(slots=True)
 class CorpusParseResult:
     """Parsed records, the count of rows or elements skipped in lenient mode
     (a strict parse gives a skip's reason), and, when a ledger was applied,
     its entries that matched nothing."""
 
-    records: list[CorpusRecord] = field(default_factory=list)
-    skipped: int = 0
-    unmatched: list[OverrideEntry] = field(default_factory=list)
+    __slots__ = ("records", "skipped", "unmatched")
+
+    def __init__(self):
+        self.records: list[CorpusRecord] = []
+        self.skipped = 0
+        self.unmatched: list[OverrideEntry] = []
 
 
 def _csv_rows(stream: IO[str] | Iterable[str],
@@ -224,8 +226,9 @@ def serialize_corpus_csv(records: Sequence[CorpusRecord]) -> str:
     for record in records:
         for mention in record.authors:
             if "|" in mention.raw:
-                raise ValueError(f"record {record.record_id!r}: author {mention.raw!r} holds "
-                                 f"'|', which the corpus CSV format cannot escape")
+                raise ValueError(f"record {_excerpt(record.record_id)}: author "
+                                 f"{_excerpt(mention.raw)} holds '|', which the corpus CSV "
+                                 "format cannot escape")
         rows.append([record.record_id, record.venue, record.publication_year,
                      "|".join(m.raw for m in record.authors)])
     return csv_text(rows)
@@ -419,27 +422,22 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
     result.unmatched = unmatched()
 
 
-@dataclass(frozen=True, slots=True)
-class OverrideEntry:
+class OverrideEntry(Value):
     """One qualitative identification: a normalized full-name key, optionally
     scoped to a venue and/or an inclusive year range, with its source."""
 
-    key: str
-    gender: Gender
-    year_from: int | None = None
-    year_to: int | None = None
-    venue: str | None = None
-    source_note: str = ""
+    __slots__ = ("key", "gender", "year_from", "year_to", "venue", "source_note")
 
-    def __post_init__(self):
-        if not self.key:  # it would match every honorific-only author
+    def __init__(self, key: str, gender: Gender, year_from: int | None = None,
+                 year_to: int | None = None, venue: str | None = None, source_note: str = ""):
+        if not key:  # it would match every honorific-only author
             raise ValueError("override with an empty key")
-        if not self.source_note.strip():
-            raise ValueError(f"override for {_excerpt(self.key)} lacks a source note")
-        if (self.year_from is not None and self.year_to is not None
-                and self.year_from > self.year_to):
-            raise ValueError(f"override for {_excerpt(self.key)} has year_from "
-                             f"{_excerpt(self.year_from)} after year_to {_excerpt(self.year_to)}")
+        if not source_note.strip():
+            raise ValueError(f"override for {_excerpt(key)} lacks a source note")
+        if year_from is not None and year_to is not None and year_from > year_to:
+            raise ValueError(f"override for {_excerpt(key)} has year_from "
+                             f"{_excerpt(year_from)} after year_to {_excerpt(year_to)}")
+        super().__init__(key, gender, year_from, year_to, venue, source_note)
 
     def applies_to(self, venue: str, year: int) -> bool:
         if self.year_from is not None and year < self.year_from:

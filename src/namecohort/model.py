@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 
+from .names import Value
 from .ssa import NameYearTable
 
 DEFAULT_YEAR_SHIFT = 30
@@ -25,8 +25,7 @@ class Gender(enum.Enum):
     UNIDENTIFIED = "U"
 
 
-@dataclass(frozen=True, slots=True)
-class GenderEstimate:
+class GenderEstimate(Value):
     """A p(F) value with the counts and lookup provenance behind it.
 
     p_female is None exactly when no usable counts were found (total 0);
@@ -37,20 +36,18 @@ class GenderEstimate:
     of the table).
     """
 
-    p_female: float | None
-    female_count: int
-    male_count: int
-    lookup_year: int
-    fallback_distance: int = 0
+    __slots__ = ("p_female", "female_count", "male_count", "lookup_year", "fallback_distance")
 
-    def __post_init__(self):
-        total = self.female_count + self.male_count
-        if (self.p_female is None) != (total == 0):
+    def __init__(self, p_female: float | None, female_count: int, male_count: int,
+                 lookup_year: int, fallback_distance: int = 0):
+        total = female_count + male_count
+        if (p_female is None) != (total == 0):
             raise ValueError("p_female must be None exactly when no counts were used")
-        if self.p_female is not None and self.p_female != self.female_count / total:
+        if p_female is not None and p_female != female_count / total:
             raise ValueError("p_female must equal female_count / total exactly")
-        if self.fallback_distance < 0:
+        if fallback_distance < 0:
             raise ValueError("fallback_distance must be >= 0")
+        super().__init__(p_female, female_count, male_count, lookup_year, fallback_distance)
 
     @property
     def known(self) -> bool:
@@ -61,29 +58,28 @@ class GenderEstimate:
         return self.female_count + self.male_count
 
 
-@dataclass(frozen=True, slots=True)
-class ModelConfig:
+class ModelConfig(Value):
     """Lookup behavior: cohort shift and how far nearest-year fallback may go."""
 
-    year_shift: int = DEFAULT_YEAR_SHIFT
-    max_fallback_distance: int = DEFAULT_MAX_FALLBACK
+    __slots__ = ("year_shift", "max_fallback_distance")
 
-    def __post_init__(self):
-        if self.year_shift < 0:
+    def __init__(self, year_shift: int = DEFAULT_YEAR_SHIFT,
+                 max_fallback_distance: int = DEFAULT_MAX_FALLBACK):
+        if year_shift < 0:
             raise ValueError("year_shift must be >= 0")
-        _check_max_fallback(self.max_fallback_distance)
+        _check_max_fallback(max_fallback_distance)
+        super().__init__(year_shift, max_fallback_distance)
 
 
-@dataclass(frozen=True, slots=True)
-class Thresholds:
+class Thresholds(Value):
     """Classification cutoffs: Female at or above tau_female, Male at or below tau_male."""
 
-    tau_female: float = 0.8
-    tau_male: float = 0.2
+    __slots__ = ("tau_female", "tau_male")
 
-    def __post_init__(self):
-        if not (0 <= self.tau_male < self.tau_female <= 1):
+    def __init__(self, tau_female: float = 0.8, tau_male: float = 0.2):
+        if not (0 <= tau_male < tau_female <= 1):
             raise ValueError("require 0 <= tau_male < tau_female <= 1")
+        super().__init__(tau_female, tau_male)
 
 
 def _check_max_fallback(max_fallback_distance: int) -> None:

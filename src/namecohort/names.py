@@ -114,3 +114,39 @@ def csv_text(rows: Iterable[Iterable[object]]) -> str:
     with its double quotes doubled, only when it holds a comma, a double
     quote, a newline or a carriage return."""
     return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+
+
+class Value:
+    """The package's record and config types: frozen, with their __slots__ as
+    fields, and equal, hashed and shown as a frozen dataclass is. A subclass's
+    __init__ checks its arguments, then passes its fields in slot order to
+    Value.__init__. (Defined here because every command imports this module.)"""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, field in zip(self.__slots__, fields):
+            object.__setattr__(self, name, field)
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __eq__(self, other):
+        same_class = other.__class__ is self.__class__
+        return self._asdict() == other._asdict() if same_class else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={field!r}" for name, field in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, so re-check
+        return type(self), tuple(self._asdict().values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

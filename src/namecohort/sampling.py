@@ -11,21 +11,19 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-from .names import normalize_full_name
+from .names import Value, normalize_full_name
 
 
-@dataclass(frozen=True, slots=True)
-class SampleSpec:
+class SampleSpec(Value):
     """A sizing request and its computed minimum sample size."""
 
-    population_size: int
-    margin: float
-    confidence: float
-    computed_n: int
+    __slots__ = ("population_size", "margin", "confidence", "computed_n")
+
+    def __init__(self, population_size: int, margin: float, confidence: float, computed_n: int):
+        super().__init__(population_size, margin, confidence, computed_n)
 
 
 class Tier(enum.Enum):
@@ -35,10 +33,11 @@ class Tier(enum.Enum):
     SAMPLED = "sampled"
 
 
-@dataclass(frozen=True, slots=True)
-class TierRecommendation:
-    tier: Tier
-    rationale: str
+class TierRecommendation(Value):
+    __slots__ = ("tier", "rationale")
+
+    def __init__(self, tier: Tier, rationale: str):
+        super().__init__(tier, rationale)
 
 
 def _check_settings(population_size: int | None, margin: float, confidence: float) -> None:

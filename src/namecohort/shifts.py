@@ -8,10 +8,8 @@ aggregate a birth-weighted net shift for a set of names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import DEFAULT_MAX_FALLBACK, _check_max_fallback, lookup
-from .names import normalize_name
+from .names import Value, normalize_name
 from .ssa import NameYearTable
 
 DEFAULT_SAMPLE_YEARS = (1900, 1925, 1950, 1975, 2000)
@@ -26,33 +24,30 @@ class EndpointMissingError(ValueError):
         super().__init__(f"no usable counts for {name!r} at year {year}")
 
 
-@dataclass(frozen=True, slots=True)
-class ShiftRecord:
+class ShiftRecord(Value):
     """One name's p(F) movement between two years, with a births-based weight."""
 
-    name: str
-    p_start: float
-    p_end: float
-    delta: float
-    weight: float
+    __slots__ = ("name", "p_start", "p_end", "delta", "weight")
+
+    def __init__(self, name: str, p_start: float, p_end: float, delta: float, weight: float):
+        super().__init__(name, p_start, p_end, delta, weight)
 
 
-@dataclass(frozen=True, slots=True)
-class InstabilityConfig:
+class InstabilityConfig(Value):
     """Detection rule knobs: the year grid, the p(F) range cutoff, and a floor
     on total births so vanishingly rare names do not dominate."""
 
-    sample_years: tuple[int, ...] = DEFAULT_SAMPLE_YEARS
-    range_threshold: float = 0.3
-    min_total_births: int = 500
+    __slots__ = ("sample_years", "range_threshold", "min_total_births")
 
-    def __post_init__(self):
-        if list(self.sample_years) != sorted(set(self.sample_years)):
+    def __init__(self, sample_years: tuple[int, ...] = DEFAULT_SAMPLE_YEARS,
+                 range_threshold: float = 0.3, min_total_births: int = 500):
+        if list(sample_years) != sorted(set(sample_years)):
             raise ValueError("sample_years must be strictly increasing")
-        if not (0 < self.range_threshold <= 1):
+        if not (0 < range_threshold <= 1):
             raise ValueError("range_threshold must be in (0, 1]")
-        if self.min_total_births < 0:
+        if min_total_births < 0:
             raise ValueError("min_total_births must be >= 0")
+        super().__init__(sample_years, range_threshold, min_total_births)
 
 
 def _check_years(y1: int, y2: int) -> None:

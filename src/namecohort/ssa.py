@@ -18,14 +18,13 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 from operator import eq, lt, or_, truth
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
-from .names import normalize_name
+from .names import Value, normalize_name
 
 _YEAR_FILE_RE = re.compile(r"yob([0-9]{4})\.txt")
 
@@ -68,6 +67,7 @@ class DuplicateEntryError(ValueError):
 
     def __init__(self, name: str, sex: str | None, year: int, where: str | None = None):
         self.triple = (name, sex, year)
+        name = _excerpt(name, quote=False)
         key = f"({name}, {year})" if sex is None else f"({name}, {sex}, {year})"
         prefix = f"{where}: " if where else ""
         super().__init__(f"{prefix}duplicate record for {key}")
@@ -77,22 +77,19 @@ class SnapshotFormatError(ValueError):
     """A table snapshot has an unsupported version or breaks a table invariant."""
 
 
-@dataclass(frozen=True, slots=True)
-class NameCountRecord:
+class NameCountRecord(Value):
     """One name's birth count for one sex in one year."""
 
-    name: str
-    sex: str  # "F" or "M"
-    count: int
-    year: int
+    __slots__ = ("name", "sex", "count", "year")
 
-    def __post_init__(self):
-        if self.sex not in ("F", "M"):
-            raise ValueError(f"sex must be F or M, got {self.sex!r}")
-        if self.count < 1:
+    def __init__(self, name: str, sex: str, count: int, year: int):
+        if sex not in ("F", "M"):
+            raise ValueError(f"sex must be F or M, got {_excerpt(sex)}")
+        if count < 1:
             raise ValueError("count must be >= 1")
-        if not self.name:
+        if not name:
             raise ValueError("name must be non-empty")
+        super().__init__(name, sex, count, year)
 
 
 # Column types: years fit two bytes, counts, and the snapshot's name offsets,

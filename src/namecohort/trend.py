@@ -16,12 +16,11 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .corpus import CorpusRecord, Row
 from .model import Gender, ModelConfig, Thresholds, classify, cohort_lookup, lookup
-from .names import csv_text
+from .names import Value, csv_text
 from .ssa import NameYearTable
 
 __all__ = [
@@ -36,32 +35,29 @@ class Estimator(enum.Enum):
     CLASSIFIED_SHARE = "classified-share"
 
 
-@dataclass(frozen=True, slots=True)
-class DisplayEncoding:
+class DisplayEncoding(Value):
     """Plot-style values for classified mentions."""
 
-    female: float = 0.95
-    male: float = 0.05
-    unknown: float = 0.5
+    __slots__ = ("female", "male", "unknown")
+
+    def __init__(self, female: float = 0.95, male: float = 0.05, unknown: float = 0.5):
+        super().__init__(female, male, unknown)
 
 
-@dataclass(frozen=True, slots=True)
-class EstimatorConfig:
-    estimator: Estimator = Estimator.WEIGHTED_MEAN
-    unknown_value: float = 0.5
-    display_encoding: DisplayEncoding | None = None
-    bin_width: int = 1
-    group_by_venue: bool = False
+class EstimatorConfig(Value):
+    __slots__ = ("estimator", "unknown_value", "display_encoding", "bin_width", "group_by_venue")
 
-    def __post_init__(self):
-        if not (0 <= self.unknown_value <= 1):
+    def __init__(self, estimator: Estimator = Estimator.WEIGHTED_MEAN,
+                 unknown_value: float = 0.5, display_encoding: DisplayEncoding | None = None,
+                 bin_width: int = 1, group_by_venue: bool = False):
+        if not (0 <= unknown_value <= 1):
             raise ValueError("unknown_value must be in [0, 1]")
-        if self.bin_width < 1:
+        if bin_width < 1:
             raise ValueError("bin_width must be >= 1")
+        super().__init__(estimator, unknown_value, display_encoding, bin_width, group_by_venue)
 
 
-@dataclass(frozen=True, slots=True)
-class TrendPoint:
+class TrendPoint(Value):
     """One bin of the participation series.
 
     bin is the bin's start year, or "venue:year" when grouped by venue.
@@ -71,31 +67,30 @@ class TrendPoint:
     force; n_identified + n_unidentified = n_authors always.
     """
 
-    bin: int | str
-    share_female: float | None
-    n_authors: int
-    n_identified: int
-    n_unidentified: int
-    estimator: Estimator
+    __slots__ = ("bin", "share_female", "n_authors", "n_identified", "n_unidentified", "estimator")
+
+    def __init__(self, bin: int | str, share_female: float | None, n_authors: int,
+                 n_identified: int, n_unidentified: int, estimator: Estimator):
+        super().__init__(bin, share_female, n_authors, n_identified, n_unidentified, estimator)
 
 
-@dataclass(frozen=True, slots=True)
-class BiasPoint:
-    bin: int
-    temporal_share: float
-    static_share: float
-    gap: float  # static_share - temporal_share
+class BiasPoint(Value):
+    __slots__ = ("bin", "temporal_share", "static_share", "gap")  # gap = static - temporal
+
+    def __init__(self, bin: int, temporal_share: float, static_share: float, gap: float):
+        super().__init__(bin, temporal_share, static_share, gap)
 
 
-@dataclass(frozen=True, slots=True)
-class BiasReport:
+class BiasReport(Value):
     """Per-bin comparison of cohort-shifted vs reference-year-pinned shares;
-    both summary gaps are None when there are no bins."""
+    both summary gaps are None when there are no bins. max_gap is the gap of
+    largest magnitude, sign preserved."""
 
-    reference_year: int
-    points: tuple[BiasPoint, ...]
-    mean_gap: float | None
-    max_gap: float | None  # gap of largest magnitude, sign preserved
+    __slots__ = ("reference_year", "points", "mean_gap", "max_gap")
+
+    def __init__(self, reference_year: int, points: tuple[BiasPoint, ...],
+                 mean_gap: float | None, max_gap: float | None):
+        super().__init__(reference_year, points, mean_gap, max_gap)
 
 
 def _value(gender: Gender | None, p: float | None,
@@ -246,11 +241,6 @@ def present_bias_report(records: Iterable[CorpusRecord | Row], table: NameYearTa
                       max_gap=max(gaps, key=abs, default=None))
 
 
-_POINT_COLUMNS = ("bin", "share_female", "n_authors", "n_identified", "n_unidentified",
-                  "estimator")
-_BIAS_COLUMNS = ("bin", "temporal_share", "static_share", "gap")
-
-
 def _field(row: TrendPoint | BiasPoint, column: str) -> object:
     value = getattr(row, column)
     return value.value if isinstance(value, Estimator) else value
@@ -259,14 +249,14 @@ def _field(row: TrendPoint | BiasPoint, column: str) -> object:
 def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> bytes:
     """Serialize a trend series or bias report deterministically.
 
-    Rows are sorted by bin label; CSV carries one row per bin (bias-report
-    summary statistics appear only in the JSON form). CSV cells follow
-    :func:`names.csv_text`.
+    Rows are sorted by bin label, and the columns are the point's fields;
+    CSV carries one row per bin (bias-report summary statistics appear only
+    in the JSON form). CSV cells follow :func:`names.csv_text`.
     """
     if isinstance(obj, BiasReport):
-        columns, points = _BIAS_COLUMNS, sorted(obj.points, key=lambda p: p.bin)
+        columns, points = BiasPoint.__slots__, sorted(obj.points, key=lambda p: p.bin)
     else:
-        columns, points = _POINT_COLUMNS, sorted(obj, key=lambda p: str(p.bin))
+        columns, points = TrendPoint.__slots__, sorted(obj, key=lambda p: str(p.bin))
     rows = [[_field(point, column) for column in columns] for point in points]
     if fmt == "csv":
         return csv_text([columns, *rows]).encode("utf-8")
@@ -283,6 +273,6 @@ def parse_series_json(data: bytes | str) -> list[TrendPoint]:
     """Parse a JSON series emitted by :func:`emit_series` back into points."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-    return [TrendPoint(**{column: item[column] for column in _POINT_COLUMNS[:-1]},
+    return [TrendPoint(**{column: item[column] for column in TrendPoint.__slots__[:-1]},
                        estimator=Estimator(item["estimator"]))
             for item in json.loads(data)]

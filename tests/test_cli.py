@@ -540,7 +540,7 @@ class TestAnalyze:
         for argv, error in (
                 (["analyze", "--bin-width", "0", "--overrides", str(good)],
                  "error: bin_width must be >= 1\n"),
-                (["analyze", "--tau-female", "0.1"],
+                (["analyze", "--estimator", "classified-share", "--tau-female", "0.1"],
                  "error: require 0 <= tau_male < tau_female <= 1\n"),
                 (["bias-report", "--reference-year", "2000", "--max-fallback", "-1"],
                  "error: max_fallback_distance must be >= 0\n"),
@@ -796,6 +796,14 @@ MODE_FLAGS = {
         [["--unknown-value", "0.3"], ["--unknown-value", "0.5"]],
         "--estimator weighted-mean without --display-encoding",
         ["analyze", "--corpus", "{corpus}"]),
+    "tau-female": (["analyze", "--corpus", "{corpus}"],
+                   [["--tau-female", "0.7"], ["--tau-female", "0.8"]],
+                   "--estimator classified-share or --display-encoding",
+                   ["analyze", "--corpus", "{corpus}", "--estimator", "classified-share"]),
+    "tau-male": (["analyze", "--corpus", "{corpus}", "--estimator", "weighted-mean"],
+                 [["--tau-male", "0.1"], ["--tau-male", "0.2"]],
+                 "--estimator classified-share or --display-encoding",
+                 ["analyze", "--corpus", "{corpus}", "--display-encoding"]),
 }
 
 

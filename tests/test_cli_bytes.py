@@ -2,7 +2,8 @@
 
 Each command line runs through ``cli.main`` in a directory of inputs written
 here from literals (a corpus CSV, an override ledger and a DBLP document,
-holding a skipped row, an entity and a diacritic) plus a copy of the bundled
+holding a skipped row, an entity and a diacritic, and a list of ids to sample
+from) plus a copy of the bundled
 year files and a snapshot of the bundled table. Paths are relative, so the
 manifests do not depend on where the test runs. A run's digest is the
 SHA-256 of its exit code, stdout, stderr, logged warnings, ``--out`` file
@@ -55,6 +56,8 @@ DBLP_XML = """\
 </dblp>
 """
 
+IDS_TXT = "".join(f"id{i:03d}\n" for i in range(120))
+
 TABLE = ["--table", "table.bin"]
 COMMANDS = {
     "ingest": ["ingest", "ssa", "--out", "ingested.bin"],
@@ -68,6 +71,9 @@ COMMANDS = {
                         "--format", "json"],
     "shifts unstable net": ["shifts", "--from", "1901", "--to", "1999", "--unstable",
                             "--net", "--out", "net.json"],
+    "sample": ["sample", "--ids-file", "ids.txt", "--seed", "7"],
+    "sample out": ["sample", "--ids-file", "ids.txt", "--seed", "3", "--margin", "0.1",
+                   "--out", "sample.txt"],
 }
 for _corpus in ("corpus.csv", "dblp.xml"):
     _c = ["--corpus", _corpus]
@@ -106,6 +112,10 @@ DIGESTS = {
         "7d5fefbbb13eb5801754202190f1a849bd135dc71dbd67dad137cd5beb8168fc",
     "shifts unstable net":
         "cef64612d9b90b5ca42b72ea414c4e2905a3a5c5350bc167edea8f857b682d31",
+    "sample":
+        "7616d6d9ef877d8503cb43e5fc59d136a1c0d8505245893a0fa1a728a7e43ef8",
+    "sample out":
+        "83c34510d7b40573cbb8e2fccdd4b6c10db3feb4dd3f54db980eff22ab9eb8fe",
     "analyze corpus.csv":
         "85d253fe14fee84cd537e16e3ebfb2bc1341d0ebdc37bbac5f589529f7a01c6f",
     "analyze ledger json corpus.csv":
@@ -155,7 +165,7 @@ def inputs(tmp_path_factory) -> Path:
     shutil.copytree(resources.files("namecohort") / "data" / "ssa_fixture", directory / "ssa")
     ssa.write_snapshot(ssa.load_fixture(), directory / "table.bin")
     for name, text in (("corpus.csv", CORPUS_CSV), ("ledger.csv", LEDGER_CSV),
-                       ("dblp.xml", DBLP_XML)):
+                       ("dblp.xml", DBLP_XML), ("ids.txt", IDS_TXT)):
         (directory / name).write_text(text, encoding="utf-8")
     return directory
 

@@ -637,10 +637,16 @@ def _year_file_parse(line):
     return lambda strict: nc.parse_year_file(io.StringIO(f"{line}\n"), 1990)
 
 
+def _serialize(record_id, author):
+    return lambda strict: nc.serialize_corpus_csv(
+        [nc.CorpusRecord(record_id, "X", 1990, (make_mention(author),))])
+
+
 # Each input value that an error message echoes: the character the value is
-# made of, and the parse (strict or not) that fails on it. The corpus parses
-# skip the row when lenient; the others have no lenient mode. A year of
-# digits is echoed as the int that it is, at most 4,300 digits.
+# made of, and the call (a parse, strict or not, or a build or a serialization
+# that ignores strict) that fails on it. The corpus parses skip the row when
+# lenient; the others have no lenient mode. A year of digits is echoed as the
+# int that it is, at most 4,300 digits.
 ECHOED_VALUES = {
     "csv year": ("x", _csv_parse),
     "csv year out of range": ("9", _csv_parse),
@@ -656,6 +662,13 @@ ECHOED_VALUES = {
     "ledger year_to": ("x", lambda v: _ledger_parse(f"a,F,,{v},,n")),
     "year-file sex": ("x", lambda v: _year_file_parse(f"Ann,{v},5")),
     "year-file count": ("x", lambda v: _year_file_parse(f"Ann,F,{v}")),
+    "year-file repeated name": ("x", lambda v: _year_file_parse(f"{v},F,5\n{v},F,6")),
+    "name-count record sex": ("x", lambda v: lambda strict: nc.NameCountRecord("a", v, 5, 1990)),
+    "record id without authors": ("x", lambda v: lambda strict: nc.CorpusRecord(v, "X", 1990, ())),
+    "record year out of range": ("9", lambda v: lambda strict: nc.CorpusRecord(
+        "a", "X", int(v), (make_mention("Ann Lee"),))),
+    "serialized record id": ("x", lambda v: _serialize(v, "Ann|Lee")),
+    "serialized author": ("|", lambda v: _serialize("a", v)),
 }
 
 

@@ -38,8 +38,10 @@ EXPORTED = [
 SUBMODULES = ["cli", "corpus", "model", "names", "sampling", "shifts", "ssa", "trend"]
 
 
-def modules_after(tmp_path: Path, argv: list[str], prefix: str = "namecohort") -> set[str]:
-    """The modules under prefix loaded by a fresh interpreter that ran the CLI on argv."""
+def modules_after(tmp_path: Path, argv: list[str],
+                  prefix: str | tuple[str, ...] = "namecohort") -> set[str]:
+    """The modules under prefix (or any of several) loaded by a fresh interpreter
+    that ran the CLI on argv."""
     script = ("import json, sys\nfrom namecohort.cli import main\n"
               f"code = main({argv!r})\n"
               "print(json.dumps([code, sorted(m for m in sys.modules"
@@ -65,6 +67,18 @@ TABLE_MODULES = {"namecohort", "namecohort.cli", "namecohort.model", "namecohort
 ], ids=["ingest", "pf", "shifts-top", "shifts-unstable"])
 def test_table_commands_load_neither_corpus_nor_trend_nor_sampling(tmp_path, argv, extra):
     assert modules_after(tmp_path, argv) == TABLE_MODULES | extra
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", FIXTURE_DIR, "--out", "table.bin"],
+    ["pf", "Leslie", "--year", "1950", "--out", "pf.json"],
+    ["shifts", "--from", "1925", "--to", "1975", "--name", "Leslie", "--format", "json"],
+    ["shifts", "--from", "1925", "--to", "1975", "--top", "3", "--format", "json"],
+    ["shifts", "--from", "1925", "--to", "1975", "--unstable", "--net"],
+    ["sample", "--population-size", "600", "--out", "spec.json"],
+], ids=["ingest", "pf", "shifts-name", "shifts-top", "shifts-unstable", "sample"])
+def test_table_and_sample_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    assert not modules_after(tmp_path, argv, prefix=("dataclasses", "inspect"))
 
 
 def test_corpus_commands_load_what_they_use(tmp_path):
