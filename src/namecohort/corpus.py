@@ -11,13 +11,15 @@ from __future__ import annotations
 import csv
 import functools
 import re
-from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .model import Gender
 from .names import (Value, _author_tokens, _first_name, _full_key, _key_part, csv_text,
                     extract_first_name, normalize_full_name)
 from .ssa import _excerpt, _undecodable_line
+
+if TYPE_CHECKING:
+    from .records import CorpusRecord
 
 __all__ = [
     "AuthorMention", "CorpusRecord", "CorpusParseResult", "CorpusFormatError",
@@ -49,54 +51,6 @@ class DblpParseError(ValueError):
         super().__init__(f"byte {offset}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorMention:
-    """One author string on one publication.
-
-    first_name is the normalized given name, or None when the given name is
-    initial-only (and therefore never reaches the statistical layer).
-    override_gender, when set, is a qualitative identification that
-    outranks any table estimate.
-    """
-
-    raw: str
-    first_name: str | None
-    override_gender: Gender | None = None
-
-    @property
-    def initial_only(self) -> bool:
-        return self.first_name is None
-
-    def __iter__(self) -> Iterator:
-        return iter((self.raw, self.first_name, self.override_gender))
-
-
-def make_mention(raw: str) -> AuthorMention:
-    return AuthorMention(raw=raw, first_name=extract_first_name(raw))
-
-
-@dataclass(frozen=True, slots=True)
-class CorpusRecord:
-    """One publication: id, venue, year, and its authors in printed order."""
-
-    record_id: str
-    venue: str
-    publication_year: int
-    authors: tuple[AuthorMention, ...]
-
-    def __post_init__(self):
-        if not self.authors:
-            raise ValueError(f"record {_excerpt(self.record_id)} has no authors")
-        if not (MIN_PLAUSIBLE_YEAR <= self.publication_year <= MAX_PLAUSIBLE_YEAR):
-            raise ValueError(
-                f"record {_excerpt(self.record_id)} year {_excerpt(self.publication_year)} "
-                f"outside {MIN_PLAUSIBLE_YEAR}-{MAX_PLAUSIBLE_YEAR}"
-            )
-
-    def __iter__(self) -> Iterator:
-        return iter((self.record_id, self.venue, self.publication_year, self.authors))
-
-
 # A parsed publication as the corpus commands pass it on, with no per-row
 # objects: (record_id, venue, year, mentions), each mention a tuple
 # (raw, first_name, override_gender) of the fields of an AuthorMention.
@@ -105,11 +59,16 @@ Mention = tuple[str, str | None, Gender | None]
 Row = tuple[str, str, int, list[Mention]]
 
 
-def _records(rows: Iterable[Row]) -> list[CorpusRecord]:
-    """The records of rows, validated as CorpusRecord validates them."""
-    return [CorpusRecord(record_id, venue, year,
-                         tuple([AuthorMention(*mention) for mention in mentions]))
-            for record_id, venue, year, mentions in rows]
+def __getattr__(name: str):
+    """AuthorMention, CorpusRecord and make_mention, imported from
+    :mod:`namecohort.records` on first use (PEP 562): the corpus commands
+    build no record, so they never load that module or dataclasses."""
+    if name not in ("AuthorMention", "CorpusRecord", "make_mention"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import records
+
+    value = globals()[name] = getattr(records, name)
+    return value
 
 
 def _year(text: str) -> int | None:
@@ -212,6 +171,8 @@ def parse_corpus_csv(stream: IO[str] | Iterable[str], strict: bool = True,
     :func:`apply_overrides` applies it, except that its unmatched entries
     are returned in the result, not logged.
     """
+    from .records import _records
+
     result = CorpusParseResult()
     result.records = _records(_parse_csv(stream, strict, ledger, result))
     return result
@@ -274,6 +235,8 @@ def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
     does not know or cannot decode byte by byte (such as big5), and a text
     stream holding a lone surrogate, raise DblpParseError.
     """
+    from .records import _records
+
     result = CorpusParseResult()
     result.records = _records(_parse_dblp(stream, strict, ledger, result))
     return result
@@ -579,6 +542,8 @@ def apply_overrides(records: Sequence[CorpusRecord],
     matched anything are reported by :func:`warn_unmatched`. Each distinct
     last token is folded once per call.
     """
+    from .records import _records
+
     mention, unmatched = _mentions(ledger)
     out = _records(
         (record_id, venue, year,

@@ -47,7 +47,9 @@ def _check_settings(population_size: int | None, margin: float, confidence: floa
         raise ValueError("population_size must be >= 1")
     if not (0 < margin <= 0.5):
         raise ValueError("margin must be in (0, 0.5]")
-    if not (0.5 < confidence < 1):
+    # A confidence so near 1 that (1 + confidence) / 2 rounds to 1 has an
+    # infinite quantile.
+    if not (0.5 < confidence < 1) or (1 + confidence) / 2 == 1:
         raise ValueError("confidence must be in (0.5, 1)")
 
 
@@ -59,12 +61,14 @@ def sample_size(population_size: int, margin: float = 0.05,
     Uses the worst-case proportion p = 0.5: n0 = z^2 * 0.25 / margin^2 at
     the two-sided normal quantile z, then n = n0 / (1 + (n0 - 1) / N),
     rounded up. z is the standard two-decimal table value (1.96 at 95%),
-    matching survey practice. The result never exceeds the population.
+    matching survey practice. The result never exceeds the population, and
+    is the population for a margin so small that n0 overflows.
     """
     _check_settings(population_size, margin, confidence)
     z = round(NormalDist().inv_cdf((1 + confidence) / 2), 2)
-    n0 = z * z * 0.25 / (margin * margin)
-    corrected = n0 / (1 + (n0 - 1) / population_size)
+    n0 = z * z * 0.25 / (margin * margin) if margin * margin else math.inf
+    # Where n0 overflows, the corrected size is its limit, the population.
+    corrected = n0 / (1 + (n0 - 1) / population_size) if n0 < math.inf else population_size
     return SampleSpec(population_size, margin, confidence,
                       computed_n=max(1, math.ceil(corrected)))
 

@@ -72,16 +72,18 @@ def gender_shift(table: NameYearTable, name: str, y1: int, y2: int,
     """
     _check_max_fallback(max_fallback_distance)
     _check_years(y1, y2)
-    record = _shift(table, normalize_name(name), y1, y2, max_fallback_distance)
-    if isinstance(record, int):
-        raise EndpointMissingError(name, record)
-    return record
+    key = normalize_name(name)
+    shift = _endpoints(table, key, y1, y2, max_fallback_distance)
+    if isinstance(shift, int):
+        raise EndpointMissingError(name, shift)
+    p_start, p_end, weight = shift
+    return ShiftRecord(key, p_start, p_end, p_end - p_start, weight)
 
 
-def _shift(table: NameYearTable, key: str, y1: int, y2: int,
-           max_fallback_distance: int) -> ShiftRecord | int:
-    """:func:`gender_shift` of the name whose normalized key is given, or
-    the first endpoint year without usable counts: the key's span is
+def _endpoints(table: NameYearTable, key: str, y1: int, y2: int,
+               max_fallback_distance: int) -> tuple[float, float, float] | int:
+    """(p_start, p_end, weight) of the name whose normalized key is given,
+    or the first endpoint year without usable counts: the key's span is
     fetched once and read at both years."""
     span = table.key_span(key)
     p_start, start_female, start_male, _, _ = lookup(table, span, y1, max_fallback_distance)
@@ -90,8 +92,7 @@ def _shift(table: NameYearTable, key: str, y1: int, y2: int,
     p_end, end_female, end_male, _, _ = lookup(table, span, y2, max_fallback_distance)
     if p_end is None:
         return y2
-    return ShiftRecord(name=key, p_start=p_start, p_end=p_end, delta=p_end - p_start,
-                       weight=(start_female + start_male + end_female + end_male) / 2)
+    return p_start, p_end, (start_female + start_male + end_female + end_male) / 2
 
 
 def find_unstable(table: NameYearTable, config: InstabilityConfig = InstabilityConfig(),
@@ -135,13 +136,16 @@ def top_shift_names(table: NameYearTable, y1: int, y2: int, k: int,
     _check_top(k)
     _check_max_fallback(max_fallback_distance)
     _check_years(y1, y2)
-    shifted = (_shift(table, name, y1, y2, max_fallback_distance) for name in table.names())
-    records = [record for record in shifted if not isinstance(record, int)]
-    if weighted:
-        records.sort(key=lambda r: (-(abs(r.delta) * r.weight), r.name))
-    else:
-        records.sort(key=lambda r: (-abs(r.delta), r.name))
-    return records[:k]
+    ranked = []
+    for name in table.names():
+        shift = _endpoints(table, name, y1, y2, max_fallback_distance)
+        if not isinstance(shift, int):
+            p_start, p_end, weight = shift
+            size = abs(p_end - p_start) * weight if weighted else abs(p_end - p_start)
+            ranked.append((-size, name, p_start, p_end, weight))
+    ranked.sort()
+    return [ShiftRecord(name, p_start, p_end, p_end - p_start, weight)
+            for _, name, p_start, p_end, weight in ranked[:k]]
 
 
 def net_female_shift(table: NameYearTable, names: list[str], y1: int, y2: int,

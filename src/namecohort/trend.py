@@ -16,12 +16,14 @@ import enum
 import functools
 import json
 import math
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .corpus import CorpusRecord, Row
 from .model import Gender, ModelConfig, Thresholds, classify, cohort_lookup, lookup
 from .names import Value, csv_text
 from .ssa import NameYearTable
+
+if TYPE_CHECKING:
+    from .corpus import CorpusRecord, Row
 
 __all__ = [
     "BiasPoint", "BiasReport", "DisplayEncoding", "Estimator", "EstimatorConfig",

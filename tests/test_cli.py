@@ -287,6 +287,13 @@ class TestSample:
         assert payload["spec"]["computed_n"] == 235
         assert payload["manifest"]["subcommand"] == "sample"
 
+    @pytest.mark.parametrize("margin", ["1e-300", "1e-160"])
+    def test_vanishing_margin_sizes_the_whole_population(self, capsys, margin):
+        code, stdout, stderr = run(capsys, "sample", "--population-size", "10",
+                                   "--margin", margin)
+        assert (code, stderr) == (0, "")
+        assert json.loads(stdout)["spec"]["computed_n"] == 10
+
     def test_draw_from_ids_file(self, capsys, tmp_path):
         ids = tmp_path / "ids.txt"
         ids.write_text("".join(f"id{i}\n" for i in range(50)))
@@ -338,7 +345,8 @@ class TestSample:
         (("--margin", "2"), "margin must be in (0, 0.5]"),
         (("--confidence", "1.5"), "confidence must be in (0.5, 1)"),
         (("--population-size", "0"), "population_size must be >= 1"),
-    ], ids=["margin", "confidence", "population-size"])
+        (("--confidence", "0.9999999999999999"), "confidence must be in (0.5, 1)"),
+    ], ids=["margin", "confidence", "population-size", "confidence-near-1"])
     def test_settings_are_checked_before_the_ids_file_is_read(self, capsys, tmp_path,
                                                               setting, message):
         code, stdout, stderr = run(capsys, "sample", "--ids-file", str(tmp_path / "missing.txt"),

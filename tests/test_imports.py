@@ -76,8 +76,21 @@ def test_table_commands_load_neither_corpus_nor_trend_nor_sampling(tmp_path, arg
     ["shifts", "--from", "1925", "--to", "1975", "--top", "3", "--format", "json"],
     ["shifts", "--from", "1925", "--to", "1975", "--unstable", "--net"],
     ["sample", "--population-size", "600", "--out", "spec.json"],
-], ids=["ingest", "pf", "shifts-name", "shifts-top", "shifts-unstable", "sample"])
+    ["analyze", "--corpus", "c.csv", "--overrides", "ledger.csv", "--out", "s.csv"],
+    ["analyze", "--corpus", "c.xml", "--out", "s.csv"],
+    ["analyze", "--corpus", "c.csv", "--strict", "--format", "json"],
+    ["analyze", "--corpus", "c.csv", "--estimator", "classified-share"],
+    ["bias-report", "--corpus", "c.xml", "--reference-year", "2000", "--overrides",
+     "ledger.csv", "--out", "bias.json"],
+], ids=["ingest", "pf", "shifts-name", "shifts-top", "shifts-unstable", "sample",
+        "analyze-csv-ledger", "analyze-dblp", "analyze-strict", "analyze-classified",
+        "bias-report"])
 def test_table_and_sample_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    (tmp_path / "c.csv").write_text("record_id,venue,year,authors\na1,X,1980,Mary A|Jo Li\n")
+    (tmp_path / "c.xml").write_text('<dblp><article key="a"><author>Mary A</author>'
+                                    "<year>1980</year></article></dblp>")
+    (tmp_path / "ledger.csv").write_text("key,gender,year_from,year_to,venue,source_note\n"
+                                         "mary a,F,,,,note\n")
     assert not modules_after(tmp_path, argv, prefix=("dataclasses", "inspect"))
 
 
@@ -87,6 +100,44 @@ def test_corpus_commands_load_what_they_use(tmp_path):
     for command in (["analyze"], ["bias-report", "--reference-year", "2000"]):
         loaded = modules_after(tmp_path, [*command, "--corpus", str(corpus), "--out", "s.csv"])
         assert loaded == TABLE_MODULES | {"namecohort.corpus", "namecohort.trend"}
+
+
+@pytest.mark.parametrize("via", ["corpus", "package"])
+def test_records_and_mentions_are_still_dataclasses(via):
+    import dataclasses
+    import pickle
+
+    from namecohort import corpus
+    api = corpus if via == "corpus" else nc
+    assert nc.AuthorMention is corpus.AuthorMention
+    assert nc.CorpusRecord is corpus.CorpusRecord
+    mention = corpus.make_mention("Ada Lovelace")
+    record = api.CorpusRecord("r1", "V", 1980, (api.AuthorMention("A. Turing", None), mention))
+    for value in (mention, record):
+        assert dataclasses.is_dataclass(value)
+        assert pickle.loads(pickle.dumps(value)) == value
+    stamped = dataclasses.replace(mention, override_gender=nc.Gender.FEMALE)
+    assert (stamped.raw, stamped.first_name, stamped.override_gender) == \
+        ("Ada Lovelace", "ada", nc.Gender.FEMALE)
+    assert dataclasses.asdict(record) == {
+        "record_id": "r1", "venue": "V", "publication_year": 1980,
+        "authors": ({"raw": "A. Turing", "first_name": None, "override_gender": None},
+                    {"raw": "Ada Lovelace", "first_name": "ada", "override_gender": None})}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.venue = "W"
+
+
+def test_the_record_api_loads_dataclasses_on_first_use():
+    script = ("import sys\nimport namecohort.corpus as corpus\n"
+              "before = 'dataclasses' in sys.modules\n"
+              "from namecohort.corpus import make_mention\n"
+              "print(before, 'dataclasses' in sys.modules, corpus.make_mention is make_mention)\n"
+              "corpus.nonexistent\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stdout == "False True True\n"
+    assert proc.stderr.endswith(
+        "AttributeError: module 'namecohort.corpus' has no attribute 'nonexistent'\n")
 
 
 def test_only_manifests_with_inputs_load_hashlib(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from statistics import NormalDist
 
 import pytest
@@ -40,6 +41,37 @@ def test_sample_size_matches_independent_assembly():
             brute_force_sample_size(population, margin, confidence)
 
 
+def exact_sample_size(population, margin, confidence):
+    """The corrected size in exact rational arithmetic, from the table-value
+    z, as N / (1 + 4 (N - 1) margin^2 / z^2), rounded up."""
+    z = Fraction(round(NormalDist().inv_cdf((1 + confidence) / 2), 2))
+    margin = Fraction(margin)
+    return max(1, math.ceil(population / (1 + 4 * (population - 1) * margin ** 2 / z ** 2)))
+
+
+def test_sample_size_agrees_with_exact_arithmetic():
+    # (385, 0.03, 0.85) is exactly 231: the algebraically equal float form
+    # N / (1 + 4 (N - 1) margin^2 / z^2) gives 231.00000000000003 there.
+    assert nc.sample_size(385, 0.03, 0.85).computed_n == 231
+    grid = [(population, margin, confidence)
+            for population in (1, 2, 3, 10, 385, 600, 10**4, 10**6, 10**9, 10**12)
+            for margin in (0.5, 0.25, 0.1, 0.05, 0.03, 0.01, 0.001, 1e-4)
+            for confidence in (0.8, 0.85, 0.9, 0.95, 0.99, 0.999)]
+    rng = random.Random(22)
+    grid += [(max(1, int(10 ** rng.uniform(0, 12))), 10 ** rng.uniform(-4, math.log10(0.5)),
+              rng.uniform(0.8, 0.999)) for _ in range(2000)]
+    for setting in grid:
+        assert nc.sample_size(*setting).computed_n == exact_sample_size(*setting), setting
+
+
+@pytest.mark.parametrize("margin", [1e-300, 1e-160, 5e-324])
+@pytest.mark.parametrize("population", [1, 10, 10**12])
+def test_sample_size_of_a_vanishing_margin_is_the_population(population, margin):
+    # margin * margin underflows to 0, or its quotient overflows to inf; the
+    # limit of the corrected size as the margin goes to 0 is the population.
+    assert nc.sample_size(population, margin, 0.95).computed_n == population
+
+
 def test_sample_size_monotone_in_population():
     previous = 0
     for population in (10, 50, 100, 238, 600, 1000, 7358, 10**5, 10**7):
@@ -60,6 +92,12 @@ def test_sample_size_validation():
                 (100, 0.05, 0.5), (100, 0.05, 1.0)]:
         with pytest.raises(ValueError):
             nc.sample_size(*bad)
+
+
+def test_a_confidence_whose_quantile_rounds_to_1_is_refused():
+    # (1 + confidence) / 2 rounds to 1.0, whose normal quantile is infinite.
+    with pytest.raises(ValueError, match=r"^confidence must be in \(0.5, 1\)$"):
+        nc.sample_size(100, 0.05, 0.9999999999999999)
 
 
 def test_draw_sample_is_reproducible_and_duplicate_free():

@@ -126,6 +126,23 @@ def test_top_shift_skips_missing_endpoints_without_raising(fixture_table, monkey
     assert nc.top_shift_names(fixture_table, 1925, 1975, k=500) == expected
 
 
+@pytest.mark.parametrize("k", [1, 3, 500])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_top_shift_builds_only_the_records_it_keeps(fixture_table, monkeypatch, k, weighted):
+    eligible = len(nc.top_shift_names(fixture_table, 1925, 1975, k=10**6))
+    built = 0
+
+    def counting_init(self, *args, _init=nc.ShiftRecord.__init__, **kwargs):
+        nonlocal built
+        built += 1
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(nc.ShiftRecord, "__init__", counting_init)
+    records = nc.top_shift_names(fixture_table, 1925, 1975, k=k, weighted=weighted)
+    assert built == len(records) == min(k, eligible)
+    assert 3 < eligible < 500
+
+
 def test_net_female_shift_symmetry_and_single_name():
     table = nc.NameYearTable({
         ("up", 1900): (20, 80), ("up", 2000): (80, 20),
