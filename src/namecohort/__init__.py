@@ -27,12 +27,10 @@ _EXPORTS = {
                  "sample_size", "tier_recommendation"),
     "shifts": ("InstabilityConfig", "ShiftRecord", "find_unstable", "gender_shift",
                "net_female_shift", "top_shift_names"),
-    "ssa": ("NameCountRecord", "NameYearTable", "build_table", "load_directory",
-            "load_fixture", "parse_year_file", "read_snapshot", "serialize_table",
-            "write_snapshot"),
+    "ssa": ("NameYearTable", "build_table", "load_directory", "load_fixture",
+            "parse_year_file", "read_snapshot", "write_snapshot"),
     "trend": ("BiasPoint", "BiasReport", "DisplayEncoding", "Estimator", "EstimatorConfig",
-              "TrendPoint", "annual_share", "emit_series", "parse_series_json",
-              "present_bias_report"),
+              "TrendPoint", "annual_share", "emit_series", "present_bias_report"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

@@ -11,10 +11,12 @@ from __future__ import annotations
 import enum
 import math
 import random
+import sys
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
 from .names import Value, normalize_full_name
+from .ssa import _excerpt
 
 
 class SampleSpec(Value):
@@ -62,13 +64,16 @@ def sample_size(population_size: int, margin: float = 0.05,
     the two-sided normal quantile z, then n = n0 / (1 + (n0 - 1) / N),
     rounded up. z is the standard two-decimal table value (1.96 at 95%),
     matching survey practice. The result never exceeds the population, and
-    is the population for a margin so small that n0 overflows.
+    is the population for a margin so small that n0 overflows. A population
+    beyond the float range gets the limit, ceil(n0).
     """
     _check_settings(population_size, margin, confidence)
     z = round(NormalDist().inv_cdf((1 + confidence) / 2), 2)
     n0 = z * z * 0.25 / (margin * margin) if margin * margin else math.inf
-    # Where n0 overflows, the corrected size is its limit, the population.
-    corrected = n0 / (1 + (n0 - 1) / population_size) if n0 < math.inf else population_size
+    # Where n0 overflows, the corrected size is its limit, the population;
+    # a population past the float range divides as the largest float.
+    divisor = min(population_size, sys.float_info.max)
+    corrected = n0 / (1 + (n0 - 1) / divisor) if n0 < math.inf else population_size
     return SampleSpec(population_size, margin, confidence,
                       computed_n=max(1, math.ceil(corrected)))
 
@@ -84,7 +89,7 @@ def draw_sample(ids: Sequence[str], n: int, seed: int) -> list[str]:
     if len(pool) != len(ids):
         raise ValueError("ids must be unique")
     if n < 0 or n > len(pool):
-        raise ValueError(f"cannot draw {n} from population of {len(pool)}")
+        raise ValueError(f"cannot draw {_excerpt(n)} from population of {len(pool)}")
     return sorted(random.Random(seed).sample(pool, n))
 
 

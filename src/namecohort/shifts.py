@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .model import DEFAULT_MAX_FALLBACK, _check_max_fallback, lookup
 from .names import Value, normalize_name
-from .ssa import NameYearTable
+from .ssa import NameYearTable, _excerpt
 
 DEFAULT_SAMPLE_YEARS = (1900, 1925, 1950, 1975, 2000)
 
@@ -21,7 +21,7 @@ class EndpointMissingError(ValueError):
     def __init__(self, name: str, year: int):
         self.name = name
         self.year = year
-        super().__init__(f"no usable counts for {name!r} at year {year}")
+        super().__init__(f"no usable counts for {_excerpt(name)} at year {_excerpt(year)}")
 
 
 class ShiftRecord(Value):

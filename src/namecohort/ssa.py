@@ -24,7 +24,7 @@ from operator import eq, lt, or_, truth
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
-from .names import Value, normalize_name
+from .names import normalize_name
 
 _YEAR_FILE_RE = re.compile(r"yob([0-9]{4})\.txt")
 
@@ -75,21 +75,6 @@ class DuplicateEntryError(ValueError):
 
 class SnapshotFormatError(ValueError):
     """A table snapshot has an unsupported version or breaks a table invariant."""
-
-
-class NameCountRecord(Value):
-    """One name's birth count for one sex in one year."""
-
-    __slots__ = ("name", "sex", "count", "year")
-
-    def __init__(self, name: str, sex: str, count: int, year: int):
-        if sex not in ("F", "M"):
-            raise ValueError(f"sex must be F or M, got {_excerpt(sex)}")
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if not name:
-            raise ValueError("name must be non-empty")
-        super().__init__(name, sex, count, year)
 
 
 # Column types: years fit two bytes, counts, and the snapshot's name offsets,
@@ -321,9 +306,10 @@ def _fill_year(slots: _Slots, by_raw: _Slots, year: int, stream: IO[str] | Itera
 
 
 def parse_year_file(stream: IO[str] | Iterable[str], year: int,
-                    path: str | None = None) -> list[NameCountRecord]:
-    """Parse one year file into records, attaching the given year: the
-    female rows first, then the male rows, each in file order.
+                    path: str | None = None) -> list[tuple[str, str, int, int]]:
+    """Parse one year file into rows ``(name, sex, count, year)``, attaching
+    the given year: the female rows first, then the male rows, each in file
+    order.
 
     Raises SsaFormatError on the first malformed line (wrong field count,
     sex outside {F, M}, a count that is not an integer or lies outside the
@@ -334,49 +320,34 @@ def parse_year_file(stream: IO[str] | Iterable[str], year: int,
     """
     slots: _Slots = ({}, {})
     _fill_year(slots, ({}, {}), year, stream, path)
-    return [NameCountRecord(name, sex, by_year[year], year)
+    return [(name, sex, by_year[year], year)
             for sex, side in zip("FM", slots) for name, by_year in side.items()]
 
 
-def build_table(records: Iterable[NameCountRecord]) -> NameYearTable:
-    """Merge per-sex records into a table; order of the input is irrelevant.
+def build_table(rows: Iterable[tuple[str, str, int, int]]) -> NameYearTable:
+    """Merge per-sex rows ``(name, sex, count, year)`` into a table; order of
+    the input is irrelevant.
 
-    Raises DuplicateEntryError if a (name, sex, year) triple repeats: the
-    source distribution never repeats a triple, so duplication signals
-    corrupted input rather than data to be summed.
+    Raises ValueError for a row whose sex is not F or M, whose count is
+    below 1 or whose name is empty, and DuplicateEntryError if a (name, sex,
+    year) triple repeats: the source distribution never repeats a triple, so
+    duplication signals corrupted input rather than data to be summed.
     """
     normalize = functools.cache(normalize_name)
     females, males = slots = ({}, {})
-    for record in records:
-        name, sex, year = normalize(record.name), record.sex, record.year
+    for raw_name, sex, count, year in rows:
+        if sex not in ("F", "M"):
+            raise ValueError(f"sex must be F or M, got {_excerpt(sex)}")
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if not raw_name:
+            raise ValueError("name must be non-empty")
+        name = normalize(raw_name)
         by_year = (females if sex == "F" else males).setdefault(name, {})
         if year in by_year:
             raise DuplicateEntryError(name, sex, year)
-        by_year[year] = record.count
+        by_year[year] = count
     return NameYearTable._from_columns(*_grouped(slots))
-
-
-def serialize_table(table: NameYearTable) -> dict[int, str]:
-    """Render the table back to per-year file texts in the source format.
-
-    Female rows come first (descending count, then name), then male rows,
-    matching the layout of the public distribution. Zero counts are
-    omitted, so serialize -> parse -> build round-trips exactly.
-    """
-    by_year: dict[int, list[tuple[str, str, int]]] = {}
-    for name in table.names():
-        lo, hi = table.key_span(name)
-        for year, female, male in zip(table.years[lo:hi], table.females[lo:hi],
-                                      table.males[lo:hi]):
-            if female:
-                by_year.setdefault(year, []).append((name, "F", female))
-            if male:
-                by_year.setdefault(year, []).append((name, "M", male))
-    texts = {}
-    for year, rows in by_year.items():
-        rows.sort(key=lambda r: (r[1], -r[2], r[0]))
-        texts[year] = "".join(f"{name},{sex},{count}\n" for name, sex, count in rows)
-    return texts
 
 
 def iter_year_files(directory: Path) -> Iterator[tuple[int, Path]]:

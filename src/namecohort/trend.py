@@ -27,8 +27,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BiasPoint", "BiasReport", "DisplayEncoding", "Estimator", "EstimatorConfig",
-    "TrendPoint", "annual_share", "emit_series", "parse_series_json",
-    "present_bias_report",
+    "TrendPoint", "annual_share", "emit_series", "present_bias_report",
 ]
 
 
@@ -248,17 +247,28 @@ def _field(row: TrendPoint | BiasPoint, column: str) -> object:
     return value.value if isinstance(value, Estimator) else value
 
 
+def _bin_order(point: TrendPoint | BiasPoint) -> tuple[str, int]:
+    """The point's (venue, start year); the venue of an ungrouped bin is ""."""
+    if isinstance(point.bin, str):
+        venue, _, start = point.bin.rpartition(":")
+        return venue, int(start)
+    return "", point.bin
+
+
 def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> bytes:
     """Serialize a trend series or bias report deterministically.
 
-    Rows are sorted by bin label, and the columns are the point's fields;
-    CSV carries one row per bin (bias-report summary statistics appear only
-    in the JSON form). CSV cells follow :func:`names.csv_text`.
+    Rows are sorted by bin start year, or by venue and then start year when
+    grouped by venue, which is the order :func:`annual_share` gives; the
+    columns are the point's fields. CSV carries one row per bin (bias-report
+    summary statistics appear only in the JSON form). CSV cells follow
+    :func:`names.csv_text`.
     """
     if isinstance(obj, BiasReport):
-        columns, points = BiasPoint.__slots__, sorted(obj.points, key=lambda p: p.bin)
+        columns, points = BiasPoint.__slots__, obj.points
     else:
-        columns, points = TrendPoint.__slots__, sorted(obj, key=lambda p: str(p.bin))
+        columns, points = TrendPoint.__slots__, obj
+    points = sorted(points, key=_bin_order)
     rows = [[_field(point, column) for column in columns] for point in points]
     if fmt == "csv":
         return csv_text([columns, *rows]).encode("utf-8")
@@ -269,12 +279,3 @@ def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> byt
                        "max_gap": obj.max_gap, "bins": payload}
         return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r} (expected csv or json)")
-
-
-def parse_series_json(data: bytes | str) -> list[TrendPoint]:
-    """Parse a JSON series emitted by :func:`emit_series` back into points."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return [TrendPoint(**{column: item[column] for column in TrendPoint.__slots__[:-1]},
-                       estimator=Estimator(item["estimator"]))
-            for item in json.loads(data)]

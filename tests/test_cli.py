@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -376,8 +377,8 @@ class TestAnalyze:
         code, stdout, _ = run(capsys, "analyze", "--corpus", str(corpus),
                               "--format", "json")
         assert code == 0
-        [point] = nc.parse_series_json(stdout)
-        assert point.n_authors == 2
+        [point] = json.loads(stdout)
+        assert point["n_authors"] == 2
 
     def test_overrides_and_display_encoding(self, capsys, tmp_path):
         corpus = tmp_path / "c.csv"
@@ -890,3 +891,63 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     assert [m.override_gender for r in namespace["records"] for m in r.authors] == [
         None, nc.Gender.FEMALE, nc.Gender.FEMALE, None]
     assert [e.key for e in namespace["result"].unmatched] == ["ann nobody"]
+
+
+def int_flags():
+    """(command, flag) for every option of every command that build_parser
+    reads with type=int."""
+    parser = build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0])
+            for command, sub in commands.choices.items()
+            for action in sub._actions if action.type is int]
+
+
+# For each command, the command lines that an int flag is tried on: the first
+# that gives the flag, with its value replaced, or else the first, with the
+# flag added ({ids} is a file of ten ids, {corpus} a one-row corpus).
+INT_FLAG_RUNS = {
+    "pf": [["pf", "Leslie", "--year", "1950"],
+           ["pf", "Leslie", "--pub-year", "1990", "--shift", "30"]],
+    "shifts": [[*SHIFTS, "--name", "Leslie"], [*SHIFTS, "--top", "3"],
+               [*SHIFTS, "--unstable", "--min-births", "500"]],
+    "sample": [["sample", "--population-size", "600"],
+               ["sample", "--ids-file", "{ids}", "--seed", "1", "--size", "5"]],
+    "analyze": [["analyze", "--corpus", "{corpus}", "--bin-width", "5"]],
+    "bias-report": [["bias-report", "--corpus", "{corpus}", "--reference-year", "2000"]],
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["plus", "minus"])
+@pytest.mark.parametrize("command, flag", [pytest.param(*pair, id=" ".join(pair))
+                                           for pair in int_flags()])
+def test_an_int_flag_far_out_of_range_ends_without_a_traceback(capsys, tmp_path, command, flag,
+                                                               value):
+    ids, corpus = tmp_path / "ids.txt", tmp_path / "c.csv"
+    ids.write_text("".join(f"id{i}\n" for i in range(10)))
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A|George B\n")
+    runs = INT_FLAG_RUNS[command]
+    argv = next((run for run in runs if flag in run), [*runs[0], flag, "0"])
+    argv = [arg.format(ids=ids, corpus=corpus) for arg in argv]
+    argv[argv.index(flag) + 1] = str(value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    stderr = capsys.readouterr().err
+    assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("venue", ["", "V:"], ids=["all-venues", "group-by-venue"])
+def test_analyze_orders_bins_by_start_year(capsys, tmp_path, fmt, venue):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("record_id,venue,year,authors\na1,V,2000,Mary A\na2,V,1990,Mary B\n")
+    argv = ["analyze", "--corpus", str(corpus), "--bin-width", "999", "--format", fmt]
+    code, stdout, _ = run(capsys, *argv, *(["--group-by-venue"] if venue else []))
+    assert code == 0
+    bins = ([str(row["bin"]) for row in json.loads(stdout)] if fmt == "json"
+            else [row.split(",")[0] for row in stdout.splitlines()[1:]])
+    assert bins == [f"{venue}999", f"{venue}1998"]

@@ -643,10 +643,10 @@ def _serialize(record_id, author):
 
 
 # Each input value that an error message echoes: the character the value is
-# made of, and the call (a parse, strict or not, or a build or a serialization
-# that ignores strict) that fails on it. The corpus parses skip the row when
-# lenient; the others have no lenient mode. A year of digits is echoed as the
-# int that it is, at most 4,300 digits.
+# made of, and the call (a parse, strict or not, or a build, serialization,
+# shift or draw that ignores strict) that fails on it. The corpus parses skip
+# the row when lenient; the others have no lenient mode. A year or size of
+# digits is echoed as the int that it is, at most 4,300 digits.
 ECHOED_VALUES = {
     "csv year": ("x", _csv_parse),
     "csv year out of range": ("9", _csv_parse),
@@ -663,12 +663,17 @@ ECHOED_VALUES = {
     "year-file sex": ("x", lambda v: _year_file_parse(f"Ann,{v},5")),
     "year-file count": ("x", lambda v: _year_file_parse(f"Ann,F,{v}")),
     "year-file repeated name": ("x", lambda v: _year_file_parse(f"{v},F,5\n{v},F,6")),
-    "name-count record sex": ("x", lambda v: lambda strict: nc.NameCountRecord("a", v, 5, 1990)),
+    "name-count record sex": ("x", lambda v: lambda strict: nc.build_table([("a", v, 5, 1990)])),
     "record id without authors": ("x", lambda v: lambda strict: nc.CorpusRecord(v, "X", 1990, ())),
     "record year out of range": ("9", lambda v: lambda strict: nc.CorpusRecord(
         "a", "X", int(v), (make_mention("Ann Lee"),))),
     "serialized record id": ("x", lambda v: _serialize(v, "Ann|Lee")),
     "serialized author": ("|", lambda v: _serialize("a", v)),
+    "shift endpoint name": ("x", lambda v: lambda strict: nc.gender_shift(
+        nc.load_fixture(), v, 1900, 2000)),
+    "shift endpoint year": ("9", lambda v: lambda strict: nc.gender_shift(
+        nc.load_fixture(), "mary", 1900, int(v))),
+    "draw size": ("9", lambda v: lambda strict: nc.draw_sample(["a"], int(v), 1)),
 }
 
 

@@ -17,7 +17,8 @@ from namecohort import cli
 SRC = str(Path(nc.__file__).parent.parent)
 FIXTURE_DIR = str(resources.files("namecohort") / "data" / "ssa_fixture")
 
-# Every name namecohort/__init__.py exported when it imported all its modules.
+# Every name namecohort/__init__.py exported when it imported all its modules,
+# less the record class and the two serializers since deleted.
 EXPORTED = [
     "AuthorMention", "CorpusParseResult", "CorpusRecord", "OverrideEntry", "OverrideLedger",
     "apply_overrides", "extract_first_name", "parse_corpus_csv", "parse_dblp_subset",
@@ -29,10 +30,10 @@ EXPORTED = [
     "tier_recommendation",
     "InstabilityConfig", "ShiftRecord", "find_unstable", "gender_shift", "net_female_shift",
     "top_shift_names",
-    "NameCountRecord", "NameYearTable", "build_table", "load_directory", "load_fixture",
-    "parse_year_file", "read_snapshot", "serialize_table", "write_snapshot",
+    "NameYearTable", "build_table", "load_directory", "load_fixture", "parse_year_file",
+    "read_snapshot", "write_snapshot",
     "BiasPoint", "BiasReport", "DisplayEncoding", "Estimator", "EstimatorConfig", "TrendPoint",
-    "annual_share", "emit_series", "parse_series_json", "present_bias_report",
+    "annual_share", "emit_series", "present_bias_report",
     "__version__",
 ]
 SUBMODULES = ["cli", "corpus", "model", "names", "sampling", "shifts", "ssa", "trend"]

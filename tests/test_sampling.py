@@ -31,6 +31,10 @@ def test_sample_size_asymptote():
     assert nc.sample_size(10**9, 0.05, 0.95).computed_n == 385
 
 
+def test_a_population_beyond_the_float_range_gets_the_limit():
+    assert nc.sample_size(10**400).computed_n == nc.sample_size(10**300).computed_n == 385
+
+
 def test_sample_size_matches_independent_assembly():
     rng = random.Random(5)
     for _ in range(200):

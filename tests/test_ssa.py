@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import tracemalloc
+from importlib import resources
 
 import pytest
 
@@ -22,13 +23,12 @@ from oracles import (
     random_counts,
 )
 
+FIXTURE_DIR = resources.files("namecohort") / "data" / "ssa_fixture"
+
 
 def test_parse_year_file_attaches_year():
-    records = nc.parse_year_file(io.StringIO("Johnnie,F,405\nJohnnie,M,1131\n"), 1960)
-    assert records == [
-        nc.NameCountRecord("johnnie", "F", 405, 1960),
-        nc.NameCountRecord("johnnie", "M", 1131, 1960),
-    ]
+    rows = nc.parse_year_file(io.StringIO("Johnnie,F,405\nJohnnie,M,1131\n"), 1960)
+    assert rows == [("johnnie", "F", 405, 1960), ("johnnie", "M", 1131, 1960)]
 
 
 def test_parse_year_file_empty_stream_is_empty_list():
@@ -49,7 +49,7 @@ def on_both_entry_points(argnames, cases, ids, plain):
 
 def read_year_file(entry, directory, data, year=1980):
     """Write data as the directory's year file and read it through the entry
-    point: the table load_directory builds, or the records of parse_year_file
+    point: the table load_directory builds, or the rows of parse_year_file
     over the file opened as load_directory opens it."""
     path = directory / f"yob{year}.txt"
     path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
@@ -107,8 +107,8 @@ def test_parse_year_file_without_a_path_names_the_line_of_a_repeat():
 
 
 def test_parse_year_file_gives_females_then_males_in_file_order():
-    records = nc.parse_year_file(["Zed,M,9", "Bea,F,40", "Ada,M,5", "Ada,F,100"], 1950)
-    assert [(r.name, r.sex) for r in records] == [
+    rows = nc.parse_year_file(["Zed,M,9", "Bea,F,40", "Ada,M,5", "Ada,F,100"], 1950)
+    assert [(name, sex) for name, sex, _, _ in rows] == [
         ("bea", "F"), ("ada", "F"), ("zed", "M"), ("ada", "M")]
 
 
@@ -120,15 +120,12 @@ def test_parse_error_reports_correct_line_number():
 
 
 def test_parsed_counts_equal_source_literals():
-    records = nc.parse_year_file(["Ann,F,007", "Bea,F,2147483648"], 1950)
-    assert [r.count for r in records] == [7, 2147483648]
+    rows = nc.parse_year_file(["Ann,F,007", "Bea,F,2147483648"], 1950)
+    assert [count for _, _, count, _ in rows] == [7, 2147483648]
 
 
 def test_build_table_merges_sexes_per_entry():
-    table = nc.build_table([
-        nc.NameCountRecord("johnnie", "F", 405, 1960),
-        nc.NameCountRecord("johnnie", "M", 1131, 1960),
-    ])
+    table = nc.build_table([("johnnie", "F", 405, 1960), ("johnnie", "M", 1131, 1960)])
     assert table.counts("Johnnie", 1960) == (405, 1131)
     assert table.year_range == (1960, 1960)
 
@@ -141,38 +138,25 @@ def test_build_table_empty_input():
 
 
 def test_build_table_missing_sex_stored_as_zero():
-    table = nc.build_table([nc.NameCountRecord("gertrude", "F", 300, 1950)])
+    table = nc.build_table([("gertrude", "F", 300, 1950)])
     assert table.counts("gertrude", 1950) == (300, 0)
 
 
 def test_build_table_rejects_duplicate_triple():
-    records = [
-        nc.NameCountRecord("a", "F", 5, 1950),
-        nc.NameCountRecord("a", "F", 6, 1950),
-    ]
     with pytest.raises(DuplicateEntryError) as excinfo:
-        nc.build_table(records)
+        nc.build_table([("a", "F", 5, 1950), ("a", "F", 6, 1950)])
     assert excinfo.value.triple == ("a", "F", 1950)
 
 
 def test_build_table_is_order_independent(fixture_table):
     lines = []
-    for year, text in nc.serialize_table(fixture_table).items():
-        lines.extend((line, year) for line in text.splitlines())
+    for year, path in ssa.iter_year_files(FIXTURE_DIR):
+        lines.extend((line, year) for line in path.read_text(encoding="utf-8").splitlines())
     rng = random.Random(42)
     for _ in range(5):
         rng.shuffle(lines)
-        records = [nc.parse_year_file([line], year)[0] for line, year in lines]
-        assert nc.build_table(records) == fixture_table
-
-
-def test_serialize_parse_round_trip(fixture_table):
-    rebuilt = nc.build_table(
-        record
-        for year, text in nc.serialize_table(fixture_table).items()
-        for record in nc.parse_year_file(io.StringIO(text), year)
-    )
-    assert rebuilt == fixture_table
+        rows = [row for line, year in lines for row in nc.parse_year_file([line], year)]
+        assert nc.build_table(rows) == fixture_table
 
 
 def test_table_lookup_normalizes_queried_name(fixture_table):
@@ -257,11 +241,11 @@ def random_year_files(rng, directory):
 def test_table_build_entry_points_agree(tmp_path, seed):
     counts = random_year_files(random.Random(seed), tmp_path)
     loaded = nc.load_directory(tmp_path)
-    records = []
+    rows = []
     for year, path in ssa.iter_year_files(tmp_path):
         with open(path, encoding="utf-8-sig") as stream:
-            records.extend(nc.parse_year_file(stream, year, str(path)))
-    tables = [loaded, nc.build_table(records), nc.NameYearTable(counts)]
+            rows.extend(nc.parse_year_file(stream, year, str(path)))
+    tables = [loaded, nc.build_table(rows), nc.NameYearTable(counts)]
     assert tables[0] == tables[1] == tables[2]
     assert table_counts(loaded) == {(nc.normalize_name(name), year): value
                                     for (name, year), value in counts.items()}
@@ -454,11 +438,11 @@ def test_snapshot_of_empty_table_round_trips(tmp_path):
 
 def test_record_invariants_enforced():
     with pytest.raises(ValueError):
-        nc.NameCountRecord("ada", "X", 5, 1950)
+        nc.build_table([("ada", "X", 5, 1950)])
     with pytest.raises(ValueError):
-        nc.NameCountRecord("ada", "F", 0, 1950)
+        nc.build_table([("ada", "F", 0, 1950)])
     with pytest.raises(ValueError):
-        nc.NameCountRecord("", "F", 5, 1950)
+        nc.build_table([("", "F", 5, 1950)])
 
 
 def test_table_rejects_keys_that_normalize_alike():

@@ -1,6 +1,7 @@
 """The record and config types are frozen values that behave as the frozen
 dataclasses they replace: equal and hashed by their fields, shown by the
-same repr, never reassigned, and checked when built."""
+same repr, never reassigned, and checked when built, as a table's rows are
+checked by build_table."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from namecohort.trend import Estimator
 
 # Each value type, the fields of one value, and another last field.
 VALUES = {
-    nc.NameCountRecord: (("Ann", "F", 5, 1990), 1991),
     nc.GenderEstimate: ((0.25, 1, 3, 1950, 2), 3),
     nc.ModelConfig: ((20, 5), 6),
     nc.Thresholds: ((0.7, 0.3), 0.2),
@@ -75,9 +75,9 @@ def test_defaults_are_the_dataclass_defaults():
 
 
 @pytest.mark.parametrize("cls, args, message", [
-    (nc.NameCountRecord, ("Ann", "X", 5, 1990), "sex must be F or M, got 'X'"),
-    (nc.NameCountRecord, ("Ann", "F", 0, 1990), "count must be >= 1"),
-    (nc.NameCountRecord, ("", "F", 5, 1990), "name must be non-empty"),
+    (nc.build_table, ([("Ann", "X", 5, 1990)],), "sex must be F or M, got 'X'"),
+    (nc.build_table, ([("Ann", "F", 0, 1990)],), "count must be >= 1"),
+    (nc.build_table, ([("", "F", 5, 1990)],), "name must be non-empty"),
     (nc.GenderEstimate, (0.5, 0, 0, 1950),
      "p_female must be None exactly when no counts were used"),
     (nc.GenderEstimate, (None, 1, 0, 1950),
@@ -97,7 +97,7 @@ def test_defaults_are_the_dataclass_defaults():
     (nc.OverrideEntry, ("ann", Gender.FEMALE), "override for 'ann' lacks a source note"),
     (nc.OverrideEntry, ("ann", Gender.FEMALE, 1990, 1980, None, "bio"),
      "override for 'ann' has year_from 1990 after year_to 1980"),
-], ids=lambda item: item.__name__ if isinstance(item, type) else None)
+], ids=lambda item: item.__name__ if callable(item) else None)
 def test_a_value_is_checked_when_built(cls, args, message):
     with pytest.raises(ValueError) as excinfo:
         cls(*args)
