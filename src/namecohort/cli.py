@@ -14,13 +14,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable
 
 from . import __version__, model, ssa
 from .names import csv_text, normalize_name
-
-if TYPE_CHECKING:
-    from . import corpus
 
 # corpus, trend, sampling and shifts are imported by the commands that use
 # them, so that each command loads only what it runs.
@@ -79,6 +76,16 @@ def _write_output(args: argparse.Namespace, data: bytes,
         sys.stdout.write(data.decode("utf-8"))
 
 
+def _check_out(args: argparse.Namespace, inputs: list[Path | None]) -> None:
+    """Refuse an --out that is one of the inputs, by the same path or by
+    another path, symlink or hard link, before any input is read: writing
+    the output would replace that input."""
+    if args.out and os.path.exists(args.out):
+        for path in inputs:
+            if path is not None and os.path.exists(path) and os.path.samefile(args.out, path):
+                raise ValueError(f"--out {args.out} would overwrite the input {path}")
+
+
 def _load_table(args: argparse.Namespace) -> ssa.NameYearTable:
     if args.table:
         return ssa.read_snapshot(args.table)
@@ -90,46 +97,20 @@ def _model_config(args: argparse.Namespace) -> model.ModelConfig:
                              max_fallback_distance=args.max_fallback)
 
 
-def _load_corpus(args: argparse.Namespace) -> Iterator[corpus.Row]:
-    """The corpus rows, as the parser reads them, once the ledger is read; an
-    error in the ledger ends the run before the corpus is opened. Once the
-    rows are used up, and so before any output, the skip count goes to stderr
-    and the unmatched ledger entries are warned about. A byte-order mark at
-    the start of a CSV corpus or ledger is dropped."""
-    from . import corpus
-
-    path = args.corpus
-    fmt = args.corpus_format
-    if fmt == "auto":
-        fmt = "dblp" if path.suffix.lower() == ".xml" else "csv"
-    ledger = None
-    if args.overrides:
-        with open(args.overrides, encoding="utf-8-sig", newline="") as stream:
-            ledger = corpus.read_override_ledger(stream)
-    result = corpus.CorpusParseResult()
-    if fmt == "dblp":
-        with open(path, "rb") as stream:
-            yield from corpus._parse_dblp(stream, args.strict, ledger, result)
-    else:
-        with open(path, encoding="utf-8-sig", newline="") as stream:
-            yield from corpus._parse_csv(stream, args.strict, ledger, result)
-    if result.skipped:
-        print(f"skipped {result.skipped} malformed entries in {path}", file=sys.stderr)
-    corpus.warn_unmatched(result.unmatched)
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     if not args.out:
         print("error: ingest requires --out for the table snapshot", file=sys.stderr)
         return 1
     year_files = list(ssa.iter_year_files(args.ssa_dir))
+    paths = [path for _, path in year_files]
+    _check_out(args, paths)
     table = ssa._load_year_files(args.ssa_dir, year_files)
     if table.year_range is None:
         print(f"error: year files in {args.ssa_dir} contained no records",
               file=sys.stderr)
         return 1
     ssa.write_snapshot(table, args.out)
-    _write_manifest(args.out, build_manifest(args, [path for _, path in year_files]))
+    _write_manifest(args.out, build_manifest(args, paths))
     lo, hi = table.year_range
     print(f"ingested {len(year_files)} year files: years {lo}-{hi}, "
           f"{len(table.names())} names, {len(table)} entries")
@@ -138,6 +119,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_pf(args: argparse.Namespace) -> int:
     config = _model_config(args)
+    _check_out(args, [args.table])
     table = _load_table(args)
     payload: dict = {"name": normalize_name(args.name)}
     if args.pub_year is not None:
@@ -167,6 +149,7 @@ def cmd_shifts(args: argparse.Namespace) -> int:
                                           args.min_births)
     model._check_max_fallback(args.max_fallback)
     shifts._check_years(y1, y2)
+    _check_out(args, [args.table])
     table = _load_table(args)
     if args.top is not None:
         records = shifts.top_shift_names(table, y1, y2, k=args.top,
@@ -208,6 +191,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.seed is None:
             print("error: --seed is required when drawing from --ids-file", file=sys.stderr)
             return 1
+        _check_out(args, [args.ids_file])
         try:
             text = Path(args.ids_file).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
@@ -231,6 +215,39 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
+def _corpus_command(args: argparse.Namespace, report: Callable[..., object]) -> int:
+    """Run a corpus command whose own settings are checked: the model
+    settings, the --out check, the table, the ledger, then the corpus rows, streamed into
+    report(rows, table, model_config), then the skip line, the unmatched
+    ledger warnings and the output. The first fault ends the run, so a bad
+    ledger costs no corpus read. A byte-order mark that starts a CSV corpus
+    or ledger is dropped."""
+    from . import corpus, trend
+
+    model_config = _model_config(args)
+    inputs = [args.corpus, args.table, args.overrides]
+    _check_out(args, inputs)
+    table = _load_table(args)
+    ledger = None
+    if args.overrides:
+        with open(args.overrides, encoding="utf-8-sig", newline="") as stream:
+            ledger = corpus.read_override_ledger(stream)
+    path, fmt = args.corpus, args.corpus_format
+    if fmt == "dblp" or (fmt == "auto" and path.suffix.lower() == ".xml"):
+        parse, mode = corpus._parse_dblp, {"mode": "rb"}
+    else:
+        parse, mode = corpus._parse_csv, {"encoding": "utf-8-sig", "newline": ""}
+    result = corpus.CorpusParseResult()
+    with open(path, **mode) as stream:
+        output = report(parse(stream, args.strict, ledger, result), table, model_config)
+    if result.skipped:
+        print(f"skipped {result.skipped} malformed entries in {path}", file=sys.stderr)
+    corpus.warn_unmatched(result.unmatched)
+    _write_output(args, trend.emit_series(output, args.format),
+                  lambda: build_manifest(args, inputs))
+    return 0
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import trend
 
@@ -242,26 +259,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         group_by_venue=args.group_by_venue,
     )
     thresholds = model.Thresholds(tau_female=args.tau_female, tau_male=args.tau_male)
-    model_config = _model_config(args)
-    table = _load_table(args)
-    points = trend.annual_share(_load_corpus(args), table, model_config, thresholds, config)
-    data = trend.emit_series(points, args.format)
-    _write_output(args, data,
-                  lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
-    return 0
+    return _corpus_command(args, lambda rows, table, model_config: trend.annual_share(
+        rows, table, model_config, thresholds, config))
 
 
 def cmd_bias_report(args: argparse.Namespace) -> int:
     from . import trend
 
-    model_config = _model_config(args)
-    table = _load_table(args)
-    report = trend.present_bias_report(_load_corpus(args), table, model_config,
-                                       args.reference_year)
-    data = trend.emit_series(report, args.format)
-    _write_output(args, data,
-                  lambda: build_manifest(args, [args.corpus, args.table, args.overrides]))
-    return 0
+    return _corpus_command(args, lambda rows, table, model_config: trend.present_bias_report(
+        rows, table, model_config, args.reference_year))
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -289,9 +295,17 @@ class _ModeOption(argparse.Action):
         vars(namespace).setdefault(_MODE_OPTIONS, []).append((self, parser))
 
 
+def _bounded(error: argparse.ArgumentError, value: object) -> argparse.ArgumentError:
+    """The error, with its echo of the value cut as ssa._excerpt cuts it."""
+    error.message = error.message.replace(repr(value), ssa._excerpt(value))
+    return error
+
+
 class _Parser(argparse.ArgumentParser):
     """Once every argument is parsed, refuse a mode option given outside its
-    mode, with the usage of the command that declares it."""
+    mode, with the usage of the command that declares it. An error about a
+    value that a flag's type or choices refuse shows at most the value's
+    first 40 characters, as every other input error does."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -299,6 +313,18 @@ class _Parser(argparse.ArgumentParser):
             if not action.reads(namespace):
                 command.error(f"{action.option_strings[0]} is read only with {action.mode}")
         return namespace, extras
+
+    def _get_value(self, action, arg_string):
+        try:
+            return super()._get_value(action, arg_string)
+        except argparse.ArgumentError as exc:
+            raise _bounded(exc, arg_string) from None
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            raise _bounded(exc, value) from None
 
 
 _SHIFT_HELP = "years subtracted from a publication year to reach the birth cohort"
@@ -353,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="publication year; the lookup shifts back to the birth cohort")
     p.set_defaults(func=cmd_pf)
 
-    p = sub.add_parser("shifts", parents=[table_args, format_arg, out_arg],
-                       formatter_class=fmt,
+    p = sub.add_parser("shifts", parents=[table_args, out_arg], formatter_class=fmt,
                        help="quantify gender-association movement between two years")
     p.add_argument("--from", dest="from_year", type=int, required=True,
                    help="start year")
@@ -370,6 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="analyze the names flagged unstable across the sample years")
     p.add_argument("--net", action="store_true",
                    help="print the weight-normalized net female shift instead of rows")
+    p.add_argument("--format", action=_ModeOption,
+                   mode="--name, --top or --unstable without --net", reads=lambda a: not a.net,
+                   choices=["csv", "json"], default="csv", help="output format for the rows")
     p.add_argument("--sample-years", action=_ModeOption, mode="--unstable", type=_int_list,
                    default=SAMPLE_YEARS,
                    help="comma-separated years for instability detection")

@@ -206,6 +206,7 @@ _PROLOG_RE = re.compile(rb"(?:\xef\xbb\xbf)?(?:\s+|<!--.*?-->|<\?.*?\?>"
 _STREAM_WRAPPER_OPEN = b"<namecohort-stream>"
 _STREAM_WRAPPER_CLOSE = b"</namecohort-stream>"
 _CHUNK_SIZE = 1 << 16
+_UNKNOWN_ENCODING = "unknown encoding: "  # how codecs.lookup refuses a name
 
 
 def parse_dblp_subset(stream: IO[bytes] | IO[str], strict: bool = False,
@@ -342,7 +343,7 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
 
         text = html.entities.html5.get(f"{name};")
         if is_parameter_entity or text is None:
-            raise DblpParseError(f"undefined entity &{name};",
+            raise DblpParseError(f"undefined entity &{_excerpt(name, quote=False)};",
                                  input_offset(parser.CurrentByteIndex))
         chunks.append(text)
 
@@ -380,7 +381,11 @@ def _parse_dblp(stream: IO[bytes] | IO[str], strict: bool, ledger: OverrideLedge
     except (LookupError, ValueError) as exc:
         # Raised, UnicodeError among them, when the declared encoding is
         # one that Python's codecs cannot give expat as a one-byte table.
-        raise DblpParseError(f"unusable encoding ({exc})",
+        # Only an unknown encoding's message holds the declared name.
+        reason = str(exc)
+        if reason.startswith(_UNKNOWN_ENCODING):
+            reason = _UNKNOWN_ENCODING + _excerpt(reason[len(_UNKNOWN_ENCODING):], quote=False)
+        raise DblpParseError(f"unusable encoding ({reason})",
                              input_offset(parser.ErrorByteIndex)) from None
     result.unmatched = unmatched()
 
@@ -528,8 +533,8 @@ def warn_unmatched(entries: Iterable[OverrideEntry]) -> None:
         import logging  # loaded only when there is something to warn about
 
         logging.getLogger(__name__).warning(
-            "override entry never matched: %r (scope venue=%r years=%s-%s)",
-            entry.key, entry.venue, entry.year_from, entry.year_to)
+            "override entry never matched: %s (scope venue=%s years=%s-%s)",
+            *map(_excerpt, (entry.key, entry.venue, entry.year_from, entry.year_to)))
 
 
 def apply_overrides(records: Sequence[CorpusRecord],

@@ -112,9 +112,11 @@ class NameYearTable:
         males: dict[str, dict[int, int]] = {}
         for (raw_name, year), (female, male) in counts.items():
             if female < 0 or male < 0:
-                raise ValueError(f"negative count for ({raw_name}, {year})")
+                raise ValueError(f"negative count for ({_excerpt(raw_name, quote=False)}, "
+                                 f"{_excerpt(year, quote=False)})")
             if female == 0 and male == 0:
-                raise ValueError(f"empty entry for ({raw_name}, {year})")
+                raise ValueError(f"empty entry for ({_excerpt(raw_name, quote=False)}, "
+                                 f"{_excerpt(year, quote=False)})")
             name = normalize(raw_name)
             female_years = females.setdefault(name, {})
             male_years = males.setdefault(name, {})
@@ -203,7 +205,7 @@ def _grouped(slots: _Slots) -> _Columns:
     empty: dict[int, int] = {}
     for name in names:
         if not name or "\n" in name:
-            raise ValueError(f"table name {name!r} is empty or holds a line break")
+            raise ValueError(f"table name {_excerpt(name)} is empty or holds a line break")
         female, male = females.get(name, empty), males.get(name, empty)
         if female and male:
             name_years = sorted(female.keys() | male.keys())
@@ -219,7 +221,7 @@ def _grouped(slots: _Slots) -> _Columns:
             female_column.extend(female_counts)
             male_column.extend(male_counts)
         except OverflowError:
-            raise ValueError(f"a year or count of {name!r} is outside the table's range "
+            raise ValueError(f"a year or count of {_excerpt(name)} is outside the table's range "
                              f"(years 0-{2**16 - 1}, counts 0-{_MAX_COUNT})") from None
         offsets.append(len(years))
     return names, offsets, years, female_column, male_column
@@ -511,7 +513,7 @@ def _check_columns(where: str, names: list[str], offsets: array, years: array,
     k = _first_false(map(lt, offsets, offsets[1:]))
     if k >= 0:
         problem = "has no years" if offsets[k] == offsets[k + 1] else "has a negative span"
-        raise SnapshotFormatError(f"{where}: name {names[k]!r} {problem}")
+        raise SnapshotFormatError(f"{where}: name {_excerpt(names[k])} {problem}")
     k = _first_false(names)
     if k >= 0:
         raise SnapshotFormatError(f"{where}: name {k + 1} is empty")
@@ -520,13 +522,14 @@ def _check_columns(where: str, names: list[str], offsets: array, years: array,
         name = names[k + 1]
         if name == names[k]:
             raise DuplicateEntryError(name, None, years[offsets[k + 1]], where=where)
-        raise SnapshotFormatError(f"{where}: names out of order ({names[k]!r} before {name!r})")
+        raise SnapshotFormatError(f"{where}: names out of order "
+                                  f"({_excerpt(names[k])} before {_excerpt(name)})")
     k = _first_false(map(eq, names, map(normalize_name, names)))
     if k >= 0:
         name, key = names[k], normalize_name(names[k])
         if key in names:
             raise DuplicateEntryError(key, None, years[offsets[k]], where=where)
-        raise SnapshotFormatError(f"{where}: name {name!r} is not normalized")
+        raise SnapshotFormatError(f"{where}: name {_excerpt(name)} is not normalized")
     rising = bytearray(map(lt, years, years[1:]))
     for end in offsets[1:-1]:
         rising[end - 1] = True  # the next entry starts another name
@@ -536,9 +539,10 @@ def _check_columns(where: str, names: list[str], offsets: array, years: array,
         before, year = years[k], years[k + 1]
         if before == year:
             raise DuplicateEntryError(name, None, year, where=where)
-        raise SnapshotFormatError(f"{where}: years of {name!r} out of order "
+        raise SnapshotFormatError(f"{where}: years of {_excerpt(name)} out of order "
                                   f"({before} before {year})")
     if 0 in map(or_, females, males):
         k = _first_false(map(or_, females, males))
         name = names[bisect_right(offsets, k) - 1]
-        raise SnapshotFormatError(f"{where}: empty entry for ({name}, {years[k]})")
+        raise SnapshotFormatError(
+            f"{where}: empty entry for ({_excerpt(name, quote=False)}, {years[k]})")

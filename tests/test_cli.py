@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from importlib import resources
 from pathlib import Path
 
@@ -595,6 +596,33 @@ class TestAnalyze:
         assert code == 0
         assert stdout.splitlines()[1].startswith("1980,")
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    @pytest.mark.parametrize("command", [["analyze"], ["bias-report", "--reference-year", "2000"]])
+    def test_corpus_format_flag_picks_the_parser_whatever_the_extension(self, capsys, tmp_path,
+                                                                        command, strict):
+        # Each kind of corpus holds one good and one malformed entry, so a
+        # lenient run prints a skip line and a strict run fails.
+        bodies = {"dblp": '<dblp><article key="a"><author>Mary A</author><year>1980</year>'
+                          '</article><article key="b"><author>Ann B</author><year>80</year>'
+                          '</article></dblp>',
+                  "csv": "record_id,venue,year,authors\na,X,1980,Mary A\nb,X,80,Ann B\n"}
+
+        def outcome(kind, name, fmt):
+            path = tmp_path / name
+            path.write_text(bodies[kind])
+            code, stdout, stderr = run(capsys, *command, "--corpus", str(path),
+                                       "--corpus-format", fmt, *strict)
+            return code, stdout, stderr.replace(str(path), "CORPUS")
+
+        for kind, name, fmt in [("dblp", "c.txt", "dblp"), ("dblp", "c.xml", "dblp"),
+                                ("dblp", "c.XML", "auto"), ("csv", "c.xml", "csv"),
+                                ("csv", "c.csv", "csv")]:
+            expected = outcome(kind, f"auto.{'xml' if kind == 'dblp' else 'csv'}", "auto")
+            assert expected[0] == (1 if strict else 0)
+            assert outcome(kind, name, fmt) == expected, (kind, name, fmt)
+        # by its extension alone, the DBLP file named .txt is read as CSV
+        assert outcome("dblp", "c.txt", "auto")[2].startswith("error: line 1: expected header")
+
 
 class TestBiasReport:
     def test_reference_year_report(self, capsys, tmp_path):
@@ -788,6 +816,8 @@ MODE_FLAGS = {
                         "--unstable", [*SHIFTS, "--unstable"]),
     "min-births": ([*SHIFTS, "--name", "Leslie"], [["--min-births", "9"], ["--min-births", "500"]],
                    "--unstable", [*SHIFTS, "--unstable"]),
+    "format+net": ([*SHIFTS, "--top", "3", "--net"], [["--format", "json"], ["--format", "csv"]],
+                   "--name, --top or --unstable without --net", [*SHIFTS, "--top", "3"]),
     "seed": (["sample", "--population-size", "600"], [["--seed", "3"]], "--ids-file",
              ["sample", "--ids-file", "{ids}", "--seed", "1"]),
     "size": (["sample", "--population-size", "600"], [["--size", "5"]], "--ids-file",
@@ -904,7 +934,7 @@ def int_flags():
             for action in sub._actions if action.type is int]
 
 
-# For each command, the command lines that an int flag is tried on: the first
+# For each command, the command lines that a flag's value is tried on: the first
 # that gives the flag, with its value replaced, or else the first, with the
 # flag added ({ids} is a file of ten ids, {corpus} a one-row corpus).
 INT_FLAG_RUNS = {
@@ -951,3 +981,129 @@ def test_analyze_orders_bins_by_start_year(capsys, tmp_path, fmt, venue):
     bins = ([str(row["bin"]) for row in json.loads(stdout)] if fmt == "json"
             else [row.split(",")[0] for row in stdout.splitlines()[1:]])
     assert bins == [f"{venue}999", f"{venue}1998"]
+
+
+def refusable_flags():
+    """(command, flag) for every option of every command that build_parser
+    declares with choices or with a type that can refuse a value (a Path
+    takes any text)."""
+    parser = build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0])
+            for command, sub in commands.choices.items() for action in sub._actions
+            if action.option_strings and (action.choices is not None
+                                          or action.type not in (None, Path))]
+
+
+@pytest.mark.parametrize("command, flag", [pytest.param(*pair, id=" ".join(pair))
+                                           for pair in refusable_flags()])
+def test_a_refused_flag_value_is_echoed_in_part(capsys, tmp_path, command, flag):
+    runs = INT_FLAG_RUNS[command]
+    argv = next((run for run in runs if flag in run), [*runs[0], flag, "0"])
+    argv = [arg.format(ids=tmp_path / "ids.txt", corpus=tmp_path / "c.csv") for arg in argv]
+    argv[argv.index(flag) + 1] = "x" * 5000
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    stderr = capsys.readouterr().err
+    assert f"{'x' * 40!r}… (5000 characters)" in stderr
+    assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
+
+
+def test_an_unknown_command_is_echoed_in_part(capsys):
+    for name, echo in (("x" * 40, repr("x" * 40)), ("x" * 5000, f"{'x' * 40!r}… (5000 characters)")):
+        with pytest.raises(SystemExit) as excinfo:
+            main([name])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"invalid choice: {echo} (choose from" in stderr
+        assert all(len(line) < 200 for line in stderr.splitlines())
+
+
+def test_an_unusable_dblp_entity_or_encoding_is_echoed_in_part(capsys, tmp_path):
+    dtd = '<!DOCTYPE dblp SYSTEM "dblp.dtd">'
+    entity, encoding = tmp_path / "entity.xml", tmp_path / "encoding.xml"
+    entity.write_text(f'<?xml version="1.0"?>{dtd}<dblp><article key="a">'
+                      f'<author>Ann &{"x" * 5000};</author><year>1990</year></article></dblp>')
+    encoding.write_text(f'<?xml version="1.0" encoding="{"x" * 5000}"?><dblp></dblp>')
+    for corpus, problem in ((entity, "undefined entity &"), (encoding, "unknown encoding: ")):
+        code, stdout, stderr = run(capsys, "analyze", "--corpus", str(corpus))
+        assert (code, stdout) == (1, "")
+        assert f"{problem}{'x' * 40}… (5000 characters)" in stderr
+        assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
+
+
+def test_an_unmatched_ledger_warning_echoes_its_entry_in_part(tmp_path):
+    corpus, ledger = tmp_path / "c.csv", tmp_path / "l.csv"
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")
+    ledger.write_text("key,gender,year_from,year_to,venue,source_note\n"
+                      f"{'k' * 5000},F,{'1' * 4000},,{'v' * 3000},bio\nann b,M,,,,obit\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "namecohort.cli", "analyze", "--corpus", str(corpus),
+         "--overrides", str(ledger)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(nc.__file__).parent.parent)))
+    assert proc.stderr.splitlines() == [
+        f"override entry never matched: {'k' * 40!r}… (5000 characters) (scope venue="
+        f"{'v' * 40!r}… (3000 characters) years={'1' * 40}… (4000 characters)-None)",
+        "override entry never matched: 'ann b' (scope venue=None years=None-None)",
+    ]
+
+
+def test_a_snapshot_name_is_echoed_in_part(capsys, tmp_path):
+    table = tmp_path / "t.bin"
+    ssa.write_snapshot(nc.NameYearTable({("x" * 5000, 1950): (1, 0)}), table)
+    data = table.read_bytes().replace(b"x" * 5000, b"X" * 5000)
+    body = len(ssa.SNAPSHOT_MAGIC) + 1 + ssa._HEADER.size
+    header = list(ssa._HEADER.unpack_from(data, body - ssa._HEADER.size))
+    header[3] = zlib.crc32(data[body:])  # reseal, so that the name check is reached
+    table.write_bytes(data[:body - ssa._HEADER.size] + ssa._HEADER.pack(*header) + data[body:])
+    code, stdout, stderr = run(capsys, "pf", "Xx", "--year", "1950", "--table", str(table))
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: {table}: name {'X' * 40!r}… (5000 characters) is not normalized\n"
+
+
+# For each command, a command line whose --out names one of its inputs: how
+# it names it ({tmp} is the directory of the inputs) and the input it names.
+OUT_OVER_INPUT = {
+    "ingest": (["ingest", "{tmp}/yd", "--out", "{tmp}/yd/yob2000.txt"], "yd/yob2000.txt"),
+    "pf": (["pf", "Leslie", "--year", "1950", "--table", "{tmp}/t.bin", "--out",
+            "{tmp}/./t.bin"], "t.bin"),
+    "shifts": ([*SHIFTS, "--top", "3", "--table", "{tmp}/t.bin", "--out", "{tmp}/symlink"],
+               "t.bin"),
+    "sample": (["sample", "--ids-file", "{tmp}/ids.txt", "--seed", "1", "--out",
+                "{tmp}/hardlink"], "ids.txt"),
+    "analyze": (["analyze", "--corpus", "{tmp}/c.csv", "--out", "{tmp}/c.csv"], "c.csv"),
+    "analyze overrides": (["analyze", "--corpus", "{tmp}/c.csv", "--overrides", "{tmp}/l.csv",
+                           "--out", "{tmp}/l.csv"], "l.csv"),
+    "bias-report": (["bias-report", "--corpus", "{tmp}/c.csv", "--reference-year", "2000",
+                     "--table", "{tmp}/t.bin", "--out", "{tmp}/t.bin"], "t.bin"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OVER_INPUT)
+def test_an_out_that_names_an_input_is_refused_before_any_input_is_read(capsys, tmp_path,
+                                                                          case):
+    (tmp_path / "yd").mkdir()
+    for year in (1990, 2000):
+        (tmp_path / "yd" / f"yob{year}.txt").write_text("Ann,F,5\n")
+    ssa.write_snapshot(nc.load_fixture(), tmp_path / "t.bin")
+    (tmp_path / "symlink").symlink_to(tmp_path / "t.bin")
+    (tmp_path / "ids.txt").write_text("".join(f"id{i}\n" for i in range(10)))
+    os.link(tmp_path / "ids.txt", tmp_path / "hardlink")
+    (tmp_path / "c.csv").write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")
+    (tmp_path / "l.csv").write_text("key,gender,year_from,year_to,venue,source_note\n"
+                                    "mary a,F,,,,bio\n")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    argv, name = OUT_OVER_INPUT[case]
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == (f"error: --out {Path(argv[-1])} would overwrite the input "
+                      f"{tmp_path / name}\n")
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+    # a bad setting is still reported first
+    if case in ("pf", "bias-report"):
+        code, _, stderr = run(capsys, *argv, "--max-fallback", "-1")
+        assert (code, stderr) == (1, "error: max_fallback_distance must be >= 0\n")

@@ -3,6 +3,7 @@ import io
 import logging
 import os
 import random
+from array import array
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 import namecohort as nc
+from namecohort import ssa
 from namecohort.corpus import (
     CorpusFormatError,
     DblpParseError,
@@ -642,6 +644,13 @@ def _serialize(record_id, author):
         [nc.CorpusRecord(record_id, "X", 1990, (make_mention(author),))])
 
 
+def _snapshot_check(names, offsets, years, females, males):
+    """The check of decoded snapshot columns, over these column values."""
+    columns = [array(typecode, values) for typecode, values in
+               ((ssa._U32, offsets), (ssa._YEAR, years), (ssa._U32, females), (ssa._U32, males))]
+    return lambda strict: ssa._check_columns("t.bin", names, *columns)
+
+
 # Each input value that an error message echoes: the character the value is
 # made of, and the call (a parse, strict or not, or a build, serialization,
 # shift or draw that ignores strict) that fails on it. The corpus parses skip
@@ -674,6 +683,17 @@ ECHOED_VALUES = {
     "shift endpoint year": ("9", lambda v: lambda strict: nc.gender_shift(
         nc.load_fixture(), "mary", 1900, int(v))),
     "draw size": ("9", lambda v: lambda strict: nc.draw_sample(["a"], int(v), 1)),
+    "table name out of range": ("x", lambda v: lambda strict: nc.NameYearTable(
+        {(v, 70000): (1, 0)})),
+    "table negative count": ("x", lambda v: lambda strict: nc.NameYearTable({(v, 1990): (-1, 0)})),
+    "table empty entry": ("x", lambda v: lambda strict: nc.NameYearTable({(v, 1990): (0, 0)})),
+    "snapshot name without years": ("x", lambda v: _snapshot_check([v], [0, 0], [], [], [])),
+    "snapshot names out of order": ("x", lambda v: _snapshot_check(
+        [v, "a"], [0, 1, 2], [1990, 1990], [1, 1], [0, 0])),
+    "snapshot name not normalized": ("X", lambda v: _snapshot_check([v], [0, 1], [1990], [1], [0])),
+    "snapshot years out of order": ("x", lambda v: _snapshot_check(
+        [v], [0, 2], [1991, 1990], [1, 1], [0, 0])),
+    "snapshot empty entry": ("x", lambda v: _snapshot_check([v], [0, 1], [1990], [0], [0])),
 }
 
 
@@ -694,6 +714,14 @@ def test_an_error_message_shows_at_most_40_characters_of_a_value(site):
         if site.startswith(("csv", "dblp")):
             result = parse(False)
             assert (result.records, result.skipped) == ([], 1)
+
+
+def test_a_table_name_with_a_line_break_is_echoed_in_part():
+    for name in ("Ann\nLee", "x" * 5000 + "\n"):
+        with pytest.raises(ValueError, match="is empty or holds a line break") as excinfo:
+            ssa._grouped(({name: {1990: 1}}, {}))
+        assert len(str(excinfo.value)) < 200
+    assert str(excinfo.value).startswith(f"table name {'x' * 40!r}… (5001 characters)")
 
 
 def test_year_cells_allow_white_space_around_the_digits():

@@ -259,7 +259,9 @@ def test_apply_overrides_matches_brute_force_oracle(caplog):
             stamped = nc.apply_overrides(records, ledger)
         expected, unmatched = oracle_apply_overrides(corpus, entries)
         assert stamped_genders(stamped) == expected
-        assert [record.args for record in caplog.records] == unmatched
+        assert [record.getMessage() for record in caplog.records] == [
+            "override entry never matched: %r (scope venue=%r years=%s-%s)" % entry
+            for entry in unmatched]
         matched += sum(gender is not None for *_, mentions in expected
                        for _, gender in mentions)
     assert matched > 100
