@@ -10,7 +10,6 @@ any result can be re-derived.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -19,8 +18,8 @@ from typing import Callable
 from . import __version__, model, ssa
 from .names import csv_text, normalize_name
 
-# corpus, trend, sampling and shifts are imported by the commands that use
-# them, so that each command loads only what it runs.
+# corpus, trend, sampling, shifts and json are imported by the commands that
+# use them, so that each command loads only what it runs.
 
 TABLE_FORMAT = ssa.SNAPSHOT_MAGIC.lstrip("# ")
 # The values of trend.Estimator and shifts.DEFAULT_SAMPLE_YEARS, spelled out
@@ -60,6 +59,8 @@ def build_manifest(args: argparse.Namespace, inputs: list[Path | None]) -> dict:
 
 
 def _write_manifest(out: Path, manifest: dict) -> None:
+    import json
+
     sidecar = Path(str(out) + ".manifest.json")
     sidecar.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                        encoding="utf-8")
@@ -118,6 +119,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_pf(args: argparse.Namespace) -> int:
+    import json
+
     config = _model_config(args)
     _check_out(args, [args.table])
     table = _load_table(args)
@@ -135,6 +138,8 @@ def cmd_pf(args: argparse.Namespace) -> int:
 
 
 def cmd_shifts(args: argparse.Namespace) -> int:
+    import json
+
     from . import shifts
 
     y1, y2 = args.from_year, args.to_year
@@ -183,6 +188,8 @@ def cmd_shifts(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    import json
+
     from . import sampling
 
     sampling._check_settings(args.population_size, args.margin, args.confidence)
@@ -305,7 +312,15 @@ class _Parser(argparse.ArgumentParser):
     """Once every argument is parsed, refuse a mode option given outside its
     mode, with the usage of the command that declares it. An error about a
     value that a flag's type or choices refuse shows at most the value's
-    first 40 characters, as every other input error does."""
+    first 40 characters, as every other input error does, and so does the
+    error about an argument that no flag or command takes."""
+
+    def parse_args(self, args=None, namespace=None):
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: "
+                       + " ".join(ssa._excerpt(extra, quote=False) for extra in extras))
+        return namespace
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -478,7 +493,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # As OSError words it, with each path cut as ssa._excerpt cuts it.
+            paths = (ssa._excerpt(path) for path in (exc.filename, exc.filename2)
+                     if path is not None)
+            message = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}"
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

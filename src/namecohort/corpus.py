@@ -133,7 +133,7 @@ def _check_csv_row(row: list[str], lineno: int, mention: Callable[..., Mention])
     if not raw_authors:
         raise CorpusFormatError("empty authors field", lineno)
     authors = raw_authors.split("|")
-    if any(not a.strip() for a in authors):
+    if "" in map(str.strip, authors):
         raise CorpusFormatError("empty author name in authors field", lineno)
     return record_id, venue, year, [mention(a, venue, year) for a in authors]
 

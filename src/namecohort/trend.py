@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .model import Gender, ModelConfig, Thresholds, classify, cohort_lookup, lookup
 from .names import Value, csv_text
-from .ssa import NameYearTable
+from .ssa import NameYearTable, _excerpt
 
 if TYPE_CHECKING:
     from .corpus import CorpusRecord, Row
@@ -94,24 +93,12 @@ class BiasReport(Value):
         super().__init__(reference_year, points, mean_gap, max_gap)
 
 
-def _value(gender: Gender | None, p: float | None,
-           config: EstimatorConfig, thresholds: Thresholds) -> float | None:
-    """A mention's contribution to its bin's share, or None when unidentified.
-
-    gender is the mention's override, which outranks p, its estimated p(F)
-    (None when unknown or never looked up). The plain weighted mean
-    contributes p(F) itself; the display encoding and the classified share
-    contribute the value of the mention's class (the classified share
-    ignores any display encoding).
-    """
-    weighted = config.estimator is Estimator.WEIGHTED_MEAN
-    encoding = config.display_encoding if weighted else None
-    if gender is None:
-        if p is None:
-            return None
-        if weighted and encoding is None:
-            return p
-        gender = classify(p, thresholds)
+def _value(gender: Gender | None, config: EstimatorConfig) -> float | None:
+    """The contribution to its bin's share of a mention of class gender (None
+    for an initial-only mention), or None when unidentified. The display
+    encoding gives a class its own value; the plain weighted mean and the
+    classified share (which ignores any display encoding) give 1 and 0."""
+    encoding = config.display_encoding if config.estimator is Estimator.WEIGHTED_MEAN else None
     if gender is Gender.FEMALE:
         return 1.0 if encoding is None else encoding.female
     if gender is Gender.MALE:
@@ -120,29 +107,30 @@ def _value(gender: Gender | None, p: float | None,
 
 
 def _shares(records: Iterable[CorpusRecord | Row], table: NameYearTable,
-            resolvers: Sequence[Callable[[tuple[int, int], int], float | None]],
-            config: EstimatorConfig, thresholds: Thresholds
-            ) -> list[list[tuple[int | str, float | None, int, int]]]:
-    """For each resolver, (bin label, share, n_authors, n_identified) for each
-    non-empty bin, in order, from one pass over the mentions of the records
-    or corpus rows (see :data:`corpus.Row`).
+            resolve: Callable[[tuple[int, int], int], tuple[float | None, ...]], count: int,
+            config: EstimatorConfig) -> list[list[tuple[int | str, float | None, int, int]]]:
+    """For each of count series, (bin label, share, n_authors, n_identified)
+    for each non-empty bin, in order, from one pass over the mentions of the
+    records or corpus rows (see :data:`corpus.Row`).
 
-    A resolver maps (span, publication_year) to p(F), or None when unknown,
-    where span is the first name's slice of the table columns. Each distinct
-    first name's span, with the year memo that the names of that span share, is
-    fetched once per call, and each distinct (span, year) resolved and valued
-    once: every name absent from the table has the span (0, 0), so the absent
-    names of one year cost one lookup, and the memo grows with the table names
-    and years met, not with the distinct names of the corpus. Overridden and
-    initial-only mentions take the value of their override (or none), since an
-    override outranks any estimate. The weighted mean fills unidentified
-    mentions with unknown_value (the display encoding with its own unknown
-    value) and divides by n_authors; the classified share drops them and
-    divides by n_identified. fsum is exact, so the order of the fill values
-    cannot change a share.
+    resolve maps (span, publication_year) to the values of a mention in each
+    series, None where unidentified, where span is the first name's slice of
+    the table columns. Each distinct first name's span, with the year memo
+    that the names of that span share, is fetched once per call, and each
+    distinct (span, year) resolved once: every name absent from the table has
+    the span (0, 0), so the absent names of one year cost one resolve, and
+    the memo grows with the table names and years met, not with the distinct
+    names of the corpus. A record's bin is found once per distinct year (per
+    venue and year when grouped by venue). Overridden and initial-only
+    mentions take the value of their override (or none), since an override
+    outranks any estimate. The weighted mean fills unidentified mentions with
+    unknown_value (the display encoding with its own unknown value) and
+    divides by n_authors; the classified share drops them and divides by
+    n_identified. fsum is exact, so the order of the fill values cannot
+    change a share. A record with no mentions is refused with a ValueError,
+    as :class:`corpus.CorpusRecord` refuses it.
     """
-    unresolved = {gender: (_value(gender, None, config, thresholds),) * len(resolvers)
-                  for gender in (None, *Gender)}
+    unresolved = {gender: (_value(gender, config),) * count for gender in (None, *Gender)}
     memos: dict[tuple[int, int], dict[int, tuple[float | None, ...]]] = {}
 
     @functools.cache
@@ -151,10 +139,17 @@ def _shares(records: Iterable[CorpusRecord | Row], table: NameYearTable,
         span = table.span(name)
         return span, memos.setdefault(span, {})
 
+    width, by_venue = config.bin_width, config.group_by_venue
     bins: dict[tuple[str, int], list[tuple[float | None, ...]]] = {}
-    for _, venue, year, mentions in records:
-        start = (year // config.bin_width) * config.bin_width
-        values = bins.setdefault((venue if config.group_by_venue else "", start), [])
+    bin_of: dict[int | tuple[str, int], list[tuple[float | None, ...]]] = {}
+    for record_id, venue, year, mentions in records:
+        if not mentions:
+            raise ValueError(f"record {_excerpt(record_id)} has no authors")
+        key = (venue, year) if by_venue else year
+        values = bin_of.get(key)
+        if values is None:
+            values = bin_of[key] = bins.setdefault(
+                (venue if by_venue else "", year // width * width), [])
         for _, name, override in mentions:
             if name is None or override is not None:
                 values.append(unresolved[override])
@@ -162,16 +157,15 @@ def _shares(records: Iterable[CorpusRecord | Row], table: NameYearTable,
             span, memo = memo_of(name)
             value = memo.get(year)
             if value is None:
-                value = memo[year] = tuple(
-                    _value(None, resolve(span, year), config, thresholds) for resolve in resolvers)
+                value = memo[year] = resolve(span, year)
             values.append(value)
 
     encoding = config.display_encoding
     fill = (None if config.estimator is Estimator.CLASSIFIED_SHARE
             else config.unknown_value if encoding is None else encoding.unknown)
-    series: list[list[tuple[int | str, float | None, int, int]]] = [[] for _ in resolvers]
+    series: list[list[tuple[int | str, float | None, int, int]]] = [[] for _ in range(count)]
     for venue, start in sorted(bins):
-        label = f"{venue}:{start}" if config.group_by_venue else start
+        label = f"{venue}:{start}" if by_venue else start
         values = bins[(venue, start)]
         for i, shares in enumerate(series):
             known = [value[i] for value in values if value[i] is not None]
@@ -182,12 +176,6 @@ def _shares(records: Iterable[CorpusRecord | Row], table: NameYearTable,
                 share = math.fsum(known) / identified if identified else None
             shares.append((label, share, n_authors, identified))
     return series
-
-
-def _cohort(table: NameYearTable,
-            model_config: ModelConfig) -> Callable[[tuple[int, int], int], float | None]:
-    """The p(F) of :func:`shifted_lookup` of a span of the table."""
-    return lambda span, year: cohort_lookup(table, span, year, model_config)[0]
 
 
 def annual_share(records: Iterable[CorpusRecord | Row], table: NameYearTable,
@@ -201,10 +189,21 @@ def annual_share(records: Iterable[CorpusRecord | Row], table: NameYearTable,
     Records should already carry any qualitative overrides; an override
     outranks the table estimate for its mention. Bins with no records are
     omitted, never zero-filled. Each distinct (table span of the first
-    name, publication year) is looked up once, so the first names absent
-    from the table cost one lookup per publication year.
+    name, publication year) is resolved once, by one lookup and, unless the
+    plain weighted mean is in force, one classify, so the first names absent
+    from the table cost one lookup per publication year. A record with no
+    mentions raises ValueError.
     """
-    [shares] = _shares(records, table, [_cohort(table, model_config)], config, thresholds)
+    if config.estimator is Estimator.WEIGHTED_MEAN and config.display_encoding is None:
+        def resolve(span: tuple[int, int], year: int) -> tuple[float | None]:
+            return cohort_lookup(table, span, year, model_config)[:1]
+    else:
+        by_class = {gender: (_value(gender, config),) for gender in Gender}
+
+        def resolve(span: tuple[int, int], year: int) -> tuple[float | None]:
+            return by_class[classify(cohort_lookup(table, span, year, model_config)[0],
+                                     thresholds)]
+    [shares] = _shares(records, table, resolve, 1, config)
     return [TrendPoint(bin=label, share_female=share, n_authors=n_authors,
                        n_identified=identified, n_unidentified=n_authors - identified,
                        estimator=config.estimator)
@@ -221,17 +220,20 @@ def present_bias_report(records: Iterable[CorpusRecord | Row], table: NameYearTa
     built from present-day tables. Both arms use the weighted-mean
     convention with unknown = 0.5, and overrides apply identically, so any
     gap comes purely from the lookup year. One pass over the mentions
-    serves both arms: the temporal arm looks up each distinct (table span
-    of the first name, publication year) once, the static arm each
-    distinct span once, so the first names absent from the table cost one
+    serves both arms: each distinct (table span of the first name,
+    publication year) is resolved once to both arms' values, by one
+    temporal lookup and the static lookup of its span, which is made once
+    per distinct span. So the first names absent from the table cost one
     temporal lookup per publication year and one static lookup in all.
-    The records are read as :func:`annual_share` reads them.
+    The records are read as :func:`annual_share` reads them, and a record
+    with no mentions raises ValueError.
     """
     static = functools.cache(lambda span: lookup(table, span, reference_year,
                                                  model_config.max_fallback_distance)[0])
     temporal_shares, static_shares = _shares(
-        records, table, [_cohort(table, model_config), lambda span, _: static(span)],
-        EstimatorConfig(), Thresholds())
+        records, table,
+        lambda span, year: (cohort_lookup(table, span, year, model_config)[0], static(span)),
+        2, EstimatorConfig())
     points = tuple(BiasPoint(bin=year, temporal_share=t_share, static_share=s_share,
                              gap=s_share - t_share)
                    for (year, t_share, _, _), (_, s_share, _, _)
@@ -273,6 +275,8 @@ def emit_series(obj: Sequence[TrendPoint] | BiasReport, fmt: str = "csv") -> byt
     if fmt == "csv":
         return csv_text([columns, *rows]).encode("utf-8")
     if fmt == "json":
+        import json  # a CSV run does without it
+
         payload: object = [dict(zip(columns, row)) for row in rows]
         if isinstance(obj, BiasReport):
             payload = {"reference_year": obj.reference_year, "mean_gap": obj.mean_gap,

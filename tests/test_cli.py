@@ -1021,6 +1021,66 @@ def test_an_unknown_command_is_echoed_in_part(capsys):
         assert all(len(line) < 200 for line in stderr.splitlines())
 
 
+# One command line per command, with {ids}, {corpus} and {dir} as in INT_FLAG_RUNS
+# ({dir} is a directory of year files).
+COMMAND_RUNS = {**{command: runs[0] for command, runs in INT_FLAG_RUNS.items()},
+                "sample": INT_FLAG_RUNS["sample"][1], "ingest": ["ingest", "{dir}", "--out", "t.bin"]}
+
+
+def command_line(tmp_path, argv):
+    """argv with its inputs written under tmp_path and named in place."""
+    ids, corpus, year_dir = tmp_path / "ids.txt", tmp_path / "c.csv", tmp_path / "years"
+    ids.write_text("".join(f"id{i}\n" for i in range(10)))
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A|George B\n")
+    year_dir.mkdir(exist_ok=True)
+    (year_dir / "yob1980.txt").write_text("Mary,F,10\n")
+    return [arg.format(ids=ids, corpus=corpus, dir=year_dir) for arg in argv]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+def test_a_stray_argument_is_echoed_in_part(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv = command_line(tmp_path, COMMAND_RUNS[command])
+    for stray, echo in (("y" * 40, "y" * 40), ("y" * 5000, f"{'y' * 40}… (5000 characters)")):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, stray, "zz"])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.endswith(f": error: unrecognized arguments: {echo} zz\n")
+        assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
+
+
+def path_flags():
+    """(command, flag) for every option of every command that build_parser
+    declares with type=Path, and "ssa_dir" for ingest's directory."""
+    parser = build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return [(command, action.option_strings[0] if action.option_strings else action.dest)
+            for command, sub in commands.choices.items() for action in sub._actions
+            if action.type is Path]
+
+
+@pytest.mark.parametrize("command, flag", [pytest.param(*pair, id=" ".join(pair))
+                                           for pair in path_flags()])
+def test_a_missing_path_is_echoed_in_part(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = command_line(tmp_path, COMMAND_RUNS[command])
+    if flag == "ssa_dir":
+        argv[1] = "{path}"
+    elif flag in argv:
+        argv[argv.index(flag) + 1] = "{path}"
+    else:
+        argv += [flag, "{path}"]
+    # Each path is in a missing directory, so an --out fails as it is written.
+    for path, echo in (("d/" + "m" * 38, repr("d/" + "m" * 38)),
+                       ("d" * 200 + "/" + "m" * 199, f"{'d' * 40!r}… (400 characters)")):
+        code, stdout, stderr = run(capsys, *[arg.format(path=path) for arg in argv])
+        assert (code, stdout) == (1, "")
+        assert stderr.endswith(f"No such file or directory: {echo}\n"), stderr
+        assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
+
+
 def test_an_unusable_dblp_entity_or_encoding_is_echoed_in_part(capsys, tmp_path):
     dtd = '<!DOCTYPE dblp SYSTEM "dblp.dtd">'
     entity, encoding = tmp_path / "entity.xml", tmp_path / "encoding.xml"

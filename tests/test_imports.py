@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -42,14 +42,15 @@ SUBMODULES = ["cli", "corpus", "model", "names", "sampling", "shifts", "ssa", "t
 def modules_after(tmp_path: Path, argv: list[str],
                   prefix: str | tuple[str, ...] = "namecohort") -> set[str]:
     """The modules under prefix (or any of several) loaded by a fresh interpreter
-    that ran the CLI on argv."""
-    script = ("import json, sys\nfrom namecohort.cli import main\n"
+    that ran the CLI on argv. The probe itself loads nothing more, so that it
+    can see json too."""
+    script = ("import sys\nfrom namecohort.cli import main\n"
               f"code = main({argv!r})\n"
-              "print(json.dumps([code, sorted(m for m in sys.modules"
-              f" if m.startswith({prefix!r}))]))\n")
+              "print([code, sorted(m for m in sys.modules"
+              f" if m.startswith({prefix!r}))])\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), check=True)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    code, modules = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
     return set(modules)
 
@@ -167,6 +168,23 @@ def test_only_unmatched_ledger_entries_load_logging(tmp_path):
         assert not modules_after(tmp_path, argv, prefix="logging"), argv
     assert "logging" in modules_after(tmp_path, [*analyze, "--overrides", str(unmatched)],
                                       prefix="logging")
+
+
+def test_only_json_output_and_manifests_load_json(tmp_path):
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")
+    commands = (["analyze", "--corpus", str(corpus)],
+                ["analyze", "--corpus", str(corpus), "--estimator", "classified-share"],
+                ["bias-report", "--corpus", str(corpus), "--reference-year", "2000"])
+    for argv in commands:
+        assert "json" not in modules_after(tmp_path, argv, prefix="json"), argv
+        for extra in (["--format", "json"], ["--out", "s.csv"]):
+            assert "json" in modules_after(tmp_path, [*argv, *extra], prefix="json"), extra
+    for argv in (["pf", "Leslie", "--year", "1950"],
+                 ["shifts", "--from", "1925", "--to", "1975", "--top", "3"],
+                 ["sample", "--population-size", "600"],
+                 ["ingest", FIXTURE_DIR, "--out", "table.bin"]):
+        assert "json" in modules_after(tmp_path, argv, prefix="json"), argv
 
 
 def test_csv_corpus_commands_do_not_load_expat(tmp_path):

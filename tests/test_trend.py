@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -269,23 +270,44 @@ def test_each_distinct_key_is_looked_up_once(fixture_table, monkeypatch):
     bisect = model.bisect_left
     monkeypatch.setattr(model, "bisect_left", lambda column, year, *span:
                         years.append(year) or bisect(column, year, *span))
+    # Zzyzx and Qwxqq are both absent from the table, so they share its
+    # empty span: in 1955 they are one key, and one static span.
     records = [rec(1990, "Mary A", "Mary B", ("Mary C", Gender.FEMALE), "J. Q.",
                    "Zzyzx D", rid="a"),
-               rec(1990, "Mary E", "George F", ("Leslie G", Gender.MALE), rid="b"),
+               rec(1990, "Mary E", "George F", ("Leslie G", Gender.MALE), venue="W", rid="b"),
                rec(1991, "Mary H", "Leslie I", ("George J", Gender.UNIDENTIFIED), rid="c"),
-               rec(1955, "Madison K", "Zzyzx L", "R.C. Archibald", rid="d")]
-    plain = {(m.first_name, r.publication_year) for r in records for m in r.authors
+               rec(1955, "Madison K", "Zzyzx L", "R.C. Archibald", "Qwxqq M", rid="d")]
+    plain = {(fixture_table.span(m.first_name), r.publication_year)
+             for r in records for m in r.authors
              if m.first_name is not None and m.override_gender is None}
     assert len(plain) == 7
-    for config in (nc.EstimatorConfig(),
-                   nc.EstimatorConfig(estimator=Estimator.CLASSIFIED_SHARE)):
-        years.clear()
-        nc.annual_share(records, fixture_table, config=config)
-        assert sorted(years) == sorted(year - 30 for _, year in plain)
+    forms = [{}, {"estimator": Estimator.CLASSIFIED_SHARE},
+             {"display_encoding": nc.DisplayEncoding()}]
+    for form in forms:
+        for binning in ({}, {"bin_width": 5, "group_by_venue": True}):
+            years.clear()
+            nc.annual_share(records, fixture_table, config=nc.EstimatorConfig(**form, **binning))
+            assert sorted(years) == sorted(year - 30 for _, year in plain), (form, binning)
     years.clear()
     nc.present_bias_report(records, fixture_table, reference_year=2000)
-    static = {name for name, _ in plain}
+    static = {span for span, _ in plain}
+    assert len(static) == 5
     assert sorted(years) == sorted([year - 30 for _, year in plain] + [2000] * len(static))
+
+
+@pytest.mark.parametrize("report", [
+    lambda rows, table: nc.annual_share(rows, table),
+    lambda rows, table: nc.annual_share(
+        rows, table, config=nc.EstimatorConfig(estimator=Estimator.CLASSIFIED_SHARE)),
+    lambda rows, table: nc.present_bias_report(rows, table, reference_year=2000),
+], ids=["weighted-mean", "classified-share", "bias-report"])
+def test_a_row_with_no_mentions_is_refused(fixture_table, report):
+    # A CorpusRecord cannot be built without authors; a bare row can.
+    rows = [("r1", "V", 1990, [("Mary A", "mary", None)])]
+    assert report(rows, fixture_table)
+    for record_id, echo in (("r", "'r'"), ("x" * 5000, f"{'x' * 40!r}… (5000 characters)")):
+        with pytest.raises(ValueError, match=f"^record {re.escape(echo)} has no authors$"):
+            report([*rows, (record_id, "V", 1990, [])], fixture_table)
 
 
 @pytest.mark.parametrize("years", [(1990, 1990), (1990, 1991)], ids=["one-year", "two-years"])
