@@ -87,6 +87,13 @@ def _check_out(args: argparse.Namespace, inputs: list[Path | None]) -> None:
                 raise ValueError(f"--out {args.out} would overwrite the input {path}")
 
 
+# The most characters of a path that a status or error line about a whole
+# input shows: more than an input value's excerpt, so that the absolute path
+# of a temporary file shows whole, and few enough that the line stays under
+# 200 characters.
+_PATH_ECHO = 120
+
+
 def _load_table(args: argparse.Namespace) -> ssa.NameYearTable:
     if args.table:
         return ssa.read_snapshot(args.table)
@@ -107,8 +114,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     _check_out(args, paths)
     table = ssa._load_year_files(args.ssa_dir, year_files)
     if table.year_range is None:
-        print(f"error: year files in {args.ssa_dir} contained no records",
-              file=sys.stderr)
+        print(f"error: year files in {ssa._excerpt(args.ssa_dir, limit=_PATH_ECHO)} "
+              "contained no records", file=sys.stderr)
         return 1
     ssa.write_snapshot(table, args.out)
     _write_manifest(args.out, build_manifest(args, paths))
@@ -248,7 +255,8 @@ def _corpus_command(args: argparse.Namespace, report: Callable[..., object]) -> 
     with open(path, **mode) as stream:
         output = report(parse(stream, args.strict, ledger, result), table, model_config)
     if result.skipped:
-        print(f"skipped {result.skipped} malformed entries in {path}", file=sys.stderr)
+        print(f"skipped {result.skipped} malformed entries in "
+              f"{ssa._excerpt(path, limit=_PATH_ECHO)}", file=sys.stderr)
     corpus.warn_unmatched(result.unmatched)
     _write_output(args, trend.emit_series(output, args.format),
                   lambda: build_manifest(args, inputs))
@@ -488,23 +496,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: ValueError | OSError) -> int:
+    """Print the error line that ends a failed run, and give its exit code, 1."""
+    message = str(exc)
+    if isinstance(exc, OSError) and exc.filename is not None:
+        # As OSError words it, with each path cut as ssa._excerpt cuts it.
+        paths = (ssa._excerpt(path) for path in (exc.filename, exc.filename2)
+                 if path is not None)
+        message = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        message = str(exc)
-        if isinstance(exc, OSError) and exc.filename is not None:
-            # As OSError words it, with each path cut as ssa._excerpt cuts it.
-            paths = (ssa._excerpt(path) for path in (exc.filename, exc.filename2)
-                     if path is not None)
-            message = f"[Errno {exc.errno}] {exc.strerror}: {' -> '.join(paths)}"
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+        return _report(exc)
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run main(), flush stdout and stderr, and end the process at once with
+    main()'s exit code: the interpreter's teardown, which frees every object
+    the run made, took about a tenth of a short command's CPU time. A stdout
+    that cannot be flushed ends the run as a failed write does in a command:
+    an error line and exit code 1. A usage error exits through argparse's
+    SystemExit, with the teardown."""
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _report(exc)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":

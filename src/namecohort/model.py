@@ -146,9 +146,10 @@ def cohort_lookup(table: NameYearTable, span: tuple[int, int], publication_year:
     """:func:`shifted_lookup` as a plain tuple, over a span already fetched from table."""
     target = publication_year - config.year_shift
     clamp = 0
-    if table.year_range is not None and target < table.year_range[0]:
-        clamp = table.year_range[0] - target
-        target = table.year_range[0]
+    year_range = table.year_range
+    if year_range is not None and target < year_range[0]:
+        clamp = year_range[0] - target
+        target = year_range[0]
     result = lookup(table, span, target, config.max_fallback_distance)
     if clamp and result[0] is not None:
         p, female, male, used, distance = result

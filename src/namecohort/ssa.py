@@ -18,9 +18,8 @@ import sys
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
-from importlib import resources
 from itertools import repeat
-from operator import eq, lt, or_, truth
+from operator import eq, lt, truth
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
 
@@ -40,14 +39,14 @@ _SWAP = sys.byteorder == "big"
 _EXCERPT = 40  # the most characters of an input value that an error message shows
 
 
-def _excerpt(value: object, quote: bool = True) -> str:
+def _excerpt(value: object, quote: bool = True, limit: int = _EXCERPT) -> str:
     """The value as an error message shows it: a string by repr() when
     quote is set, anything else by str(). A value whose text runs over
-    _EXCERPT characters shows only its first _EXCERPT, then its length."""
+    limit characters shows only its first limit, then its length."""
     text = str(value)
     show = repr if quote and isinstance(value, str) else str
-    if len(text) > _EXCERPT:
-        return f"{show(text[:_EXCERPT])}… ({len(text)} characters)"
+    if len(text) > limit:
+        return f"{show(text[:limit])}… ({len(text)} characters)"
     return show(text)
 
 
@@ -398,6 +397,8 @@ def load_fixture() -> NameYearTable:
     mary, john, elizabeth), and a name that died out mid-century
     (gertrude, female-only rows).
     """
+    from importlib import resources  # only the bundled fixture is a package resource
+
     return load_directory(resources.files("namecohort") / "data" / "ssa_fixture")
 
 
@@ -505,7 +506,8 @@ def read_snapshot(path: Path) -> NameYearTable:
 def _check_columns(where: str, names: list[str], offsets: array, years: array,
                    females: array, males: array) -> None:
     """Raise for decoded snapshot columns that :func:`write_snapshot` cannot
-    write; each check is one pass over a whole column."""
+    write. The offset and name checks are one pass each over their column;
+    the years and counts are checked lane by lane in blocks."""
     if offsets[0] != 0 or offsets[-1] != len(years):
         raise SnapshotFormatError(
             f"{where}: name offsets run {offsets[0]}-{offsets[-1]}, "
@@ -530,10 +532,7 @@ def _check_columns(where: str, names: list[str], offsets: array, years: array,
         if key in names:
             raise DuplicateEntryError(key, None, years[offsets[k]], where=where)
         raise SnapshotFormatError(f"{where}: name {_excerpt(name)} is not normalized")
-    rising = bytearray(map(lt, years, years[1:]))
-    for end in offsets[1:-1]:
-        rising[end - 1] = True  # the next entry starts another name
-    k = rising.find(0)
+    k = _first_fall(years, offsets)
     if k >= 0:
         name = names[bisect_right(offsets, k) - 1]
         before, year = years[k], years[k + 1]
@@ -541,8 +540,80 @@ def _check_columns(where: str, names: list[str], offsets: array, years: array,
             raise DuplicateEntryError(name, None, year, where=where)
         raise SnapshotFormatError(f"{where}: years of {_excerpt(name)} out of order "
                                   f"({before} before {year})")
-    if 0 in map(or_, females, males):
-        k = _first_false(map(or_, females, males))
+    k = _first_empty(females, males)
+    if k >= 0:
         name = names[bisect_right(offsets, k) - 1]
         raise SnapshotFormatError(
             f"{where}: empty entry for ({_excerpt(name, quote=False)}, {years[k]})")
+
+
+# The year and count checks read a column _CHECK_BLOCK entries at a time as
+# one integer with a lane of the column's width per entry, and test every
+# lane at once with integer arithmetic that never carries from one lane into
+# the next. Integers of whole columns, with their temporaries, would take
+# more memory than the table itself.
+_CHECK_BLOCK = 1 << 15
+
+
+@functools.lru_cache(maxsize=4)
+def _lane_masks(width: int, count: int) -> tuple[int, int, int]:
+    """For count lanes of width bits: every lane's low width - 1 bits, every
+    lane's top bit, and 1 in every lane."""
+    ones = int.from_bytes((1).to_bytes(width // 8, "little") * count, "little")
+    top = ones << (width - 1)
+    return top - ones, top, ones
+
+
+def _blocks(n: int, width: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Each block of n lanes of width bits: its bounds lo and hi, at most
+    _CHECK_BLOCK apart, and its :func:`_lane_masks`."""
+    for lo in range(0, n, _CHECK_BLOCK):
+        hi = min(lo + _CHECK_BLOCK, n)
+        yield lo, hi, *_lane_masks(width, hi - lo)
+
+
+def _lanes(column: array, lo: int, hi: int) -> int:
+    """Entries lo to hi of the column as one integer, a lane per entry."""
+    return int.from_bytes(memoryview(column)[lo:hi], sys.byteorder)
+
+
+def _first_clear(lanes: int, top: int, width: int) -> int:
+    """The index of the first lane whose top bit lanes leaves clear, or -1
+    when it sets every one. lanes holds top bits only, top holds every
+    lane's, and a lane is width bits."""
+    clear = top ^ lanes
+    return ((clear & -clear).bit_length() - 1) // width if clear else -1
+
+
+def _first_fall(years: array, offsets: array) -> int:
+    """The first entry whose year is not below the next entry's year within
+    its name, or -1 when every name's years rise."""
+    for lo, hi, low, top, ones in _blocks(len(years) - 1, 16):
+        a, b = _lanes(years, lo, hi), _lanes(years, lo + 1, hi + 1)
+        # b > a lane by lane: the top bits differ and b's is set, or they
+        # agree and b's low bits are greater, which sets the top bit of
+        # (b's low bits + 0x8000) - (a's low bits + 1).
+        greater = (((b & low) | top) - ((a & low) + ones)) & top
+        rises = ((b & (top ^ a)) | (greater & (top ^ a ^ b))) & top
+        # A name's last entry is followed by the next name's first, whose
+        # year may be lower: count it as rising.
+        ends = array(_YEAR, bytes(2 * (hi - lo)))
+        for end in offsets[bisect_right(offsets, lo):bisect_right(offsets, hi)]:
+            ends[end - 1 - lo] = 0x8000
+        k = _first_clear(rises | _lanes(ends, 0, hi - lo), top, 16)
+        if k >= 0:
+            return lo + k
+    return -1
+
+
+def _first_empty(females: array, males: array) -> int:
+    """The first entry whose female and male counts are both 0, or -1 when
+    none is."""
+    for lo, hi, low, top, _ in _blocks(len(females), 32):
+        counts = _lanes(females, lo, hi) | _lanes(males, lo, hi)
+        # A lane's top bit is set, or its low bits + 0x7FFFFFFF set it,
+        # exactly when the lane is not 0.
+        k = _first_clear((((counts & low) + low) | counts) & top, top, 32)
+        if k >= 0:
+            return lo + k
+    return -1

@@ -4,7 +4,9 @@ These work straight off a plain {(name, year): (female, male)} dict with
 exhaustive scans, independent of the library's table and search code, so
 agreement is meaningful. Trend oracles take the corpus as plain tuples:
 [(venue, publication_year, [(first_name or None, "F"/"M"/"U" or None), ...])].
-The snapshot oracle packs the v3 table snapshot byte by byte with struct.
+The snapshot oracle packs the v3 table snapshot byte by byte with struct,
+and the column-check oracles test a snapshot's years and counts entry by
+entry, as read_snapshot did before it checked them lane by lane.
 The name-key oracles normalize an author string as a whole and match an
 override ledger by scanning every entry for every mention. The DBLP oracle
 reads a whole document into an ElementTree and walks it.
@@ -21,6 +23,7 @@ import unicodedata
 import xml.etree.ElementTree as ET
 import zlib
 from fractions import Fraction
+from operator import lt, or_, truth
 
 NAME_POOL = [f"name{i:02d}" for i in range(60)]
 
@@ -254,6 +257,22 @@ def oracle_snapshot(rows: list, magic: bytes = b"# namecohort-table v3\n", *,
         len(block) if block_size is None else block_size,
         zlib.crc32(body) if checksum is None else checksum)
     return magic + header + body
+
+
+def oracle_first_fall(years, offsets) -> int:
+    """The first entry whose year is not below the next entry's within its
+    name (offsets[k] is name k's first entry, offsets[-1] the entry count),
+    or -1: one comparison per pair of entries, with those across a name
+    boundary counted as rising."""
+    rising = bytearray(map(lt, years, years[1:]))
+    for end in offsets[1:-1]:
+        rising[end - 1] = True  # the next entry starts another name
+    return rising.find(0)
+
+
+def oracle_first_empty(females, males) -> int:
+    """The first entry whose female and male counts are both 0, or -1."""
+    return bytearray(map(truth, map(or_, females, males))).find(0)
 
 
 def oracle_snapshot_rows(counts: dict) -> list:

@@ -1081,6 +1081,30 @@ def test_a_missing_path_is_echoed_in_part(capsys, tmp_path, monkeypatch, command
         assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
 
 
+def test_a_skip_line_and_an_empty_ingest_echo_their_path_in_part(capsys, tmp_path,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    malformed = "record_id,venue,year,authors\na1,X,19x0,Mary A\na2,X,1980,Mary B\n"
+    # A path of up to 120 characters shows whole, as every shorter one did.
+    for directory, echo in (("d", "d/c.csv"), ("d" * 114, f"{'d' * 114}/c.csv"),
+                            ("d" * 115, f"{'d' * 115}/c.cs… (121 characters)"),
+                            ("d" * 250, f"{'d' * 120}… (256 characters)")):
+        Path(directory).mkdir(exist_ok=True)
+        corpus = Path(directory) / "c.csv"
+        corpus.write_text(malformed)
+        code, stdout, stderr = run(capsys, "analyze", "--corpus", str(corpus))
+        assert code == 0 and stdout.startswith("bin,")
+        assert stderr == f"skipped 1 malformed entries in {echo}\n"
+        assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
+    empty = Path("e" * 250)
+    empty.mkdir()
+    (empty / "yob1980.txt").write_text("")
+    code, stdout, stderr = run(capsys, "ingest", str(empty), "--out", "t.bin")
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: year files in {'e' * 120}… (250 characters) contained no records\n"
+    assert all(len(line) < 200 for line in stderr.splitlines()), stderr[:400]
+
+
 def test_an_unusable_dblp_entity_or_encoding_is_echoed_in_part(capsys, tmp_path):
     dtd = '<!DOCTYPE dblp SYSTEM "dblp.dtd">'
     entity, encoding = tmp_path / "entity.xml", tmp_path / "encoding.xml"

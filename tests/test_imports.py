@@ -96,6 +96,22 @@ def test_table_and_sample_commands_load_neither_dataclasses_nor_inspect(tmp_path
     assert not modules_after(tmp_path, argv, prefix=("dataclasses", "inspect"))
 
 
+def test_table_commands_on_a_snapshot_do_not_load_importlib_resources(tmp_path):
+    # Without site, which loads it on some installs, only the bundled fixture
+    # would load it.
+    snapshot = tmp_path / "table.bin"
+    nc.write_snapshot(nc.load_fixture(), snapshot)
+    table = ["--table", str(snapshot)]
+    pf = ["pf", "Leslie", "--year", "1950", *table]
+    shifts = ["shifts", "--from", "1925", "--to", "1975", "--top", "3", *table]
+    script = ("import sys\nfrom namecohort.cli import main\n"
+              f"codes = [main({pf!r}), main({shifts!r})]\n"
+              "print(codes, 'importlib.resources' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), check=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_corpus_commands_load_what_they_use(tmp_path):
     corpus = tmp_path / "c.csv"
     corpus.write_text("record_id,venue,year,authors\na1,X,1980,Mary A\n")

@@ -161,3 +161,26 @@ def test_estimate_invariants_enforced():
         nc.GenderEstimate(0.9, 5, 5, 1950)
     with pytest.raises(ValueError):
         nc.GenderEstimate(0.5, 5, 5, 1950, fallback_distance=-1)
+
+
+def test_a_resolved_key_reads_the_table_year_range_once(monkeypatch, fixture_table,
+                                                        workflow_corpus, bias_corpus):
+    from namecohort import model, ssa, trend
+
+    reads, lookups = [], []
+    year_range = ssa.NameYearTable.year_range
+    monkeypatch.setattr(ssa.NameYearTable, "year_range",
+                        property(lambda table: reads.append(1) or year_range.fget(table)))
+    counted = model.cohort_lookup
+    monkeypatch.setattr(trend, "cohort_lookup",
+                        lambda *args: lookups.append(args[1:3]) or counted(*args))
+    # Keys before the table's first year are clamped to it.
+    for name in ("Mary", "Leslie", "Zzyzx"):
+        for year in (1800, 1900, 1990, 2100):
+            model.cohort_lookup(fixture_table, fixture_table.span(name), year,
+                                nc.ModelConfig())
+    assert len(reads) == 12
+    reads.clear()
+    nc.annual_share(workflow_corpus + bias_corpus, fixture_table)
+    nc.present_bias_report(workflow_corpus + bias_corpus, fixture_table, reference_year=1990)
+    assert lookups and len(reads) == len(lookups)

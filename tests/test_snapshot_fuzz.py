@@ -23,9 +23,10 @@ from pathlib import Path
 import pytest
 
 import namecohort as nc
+from namecohort import ssa
 from namecohort.cli import main
 from namecohort.ssa import SNAPSHOT_MAGIC, DuplicateEntryError, SnapshotFormatError
-from oracles import SNAPSHOT_HEADER, random_counts
+from oracles import SNAPSHOT_HEADER, oracle_snapshot, random_counts
 
 HEADER_AT = len(SNAPSHOT_MAGIC) + 1
 BODY_AT = HEADER_AT + SNAPSHOT_HEADER.size
@@ -165,3 +166,45 @@ def test_reseal_reproduces_the_written_checksum(tmp_path):
     data = path.read_bytes()
     assert reseal(data) == data
     assert struct.unpack_from("<I", data, BODY_AT - 4)[0] == zlib.crc32(data[BODY_AT:])
+
+
+BLOCK = ssa._CHECK_BLOCK
+# The entries around the first two block edges of the lane-wise checks.
+NEAR_EDGES = [edge + step for edge in (BLOCK, 2 * BLOCK) for step in (-2, -1, 0, 1)]
+
+
+def edge_rows(length: int) -> list:
+    """Names of length entries each, over more than two blocks, with years
+    rising from 1900 in each name and so falling from one name to the next."""
+    return [(f"n{i:04d}", [(1900 + j, i + 1, j) for j in range(length)])
+            for i in range(2 * BLOCK // length + 2)]
+
+
+@pytest.mark.parametrize("length", [100, 128], ids=["names-cross-edges", "names-end-at-edges"])
+def test_faults_planted_at_block_edges_fail_with_their_messages(tmp_path, length):
+    path = tmp_path / "planted.bin"
+    rows = edge_rows(length)
+    path.write_bytes(oracle_snapshot(rows))
+    assert len(nc.read_snapshot(path)) > 2 * BLOCK
+    planted = 0
+    for k in NEAR_EDGES:
+        name, entries = rows[k // length]
+        at = k % length
+        year = entries[at][0]
+        faults = [("empty", (year, 0, 0), at, SnapshotFormatError,
+                   f"{path}: empty entry for ({name}, {year})")]
+        if at + 1 < length:  # entries k and k + 1 belong to one name
+            faults += [
+                ("repeated", (year, 1, 1), at + 1, DuplicateEntryError,
+                 f"{path}: duplicate record for ({name}, {year})"),
+                ("falling", (year - 1, 1, 1), at + 1, SnapshotFormatError,
+                 f"{path}: years of {name!r} out of order ({year} before {year - 1})")]
+        for label, entry, where, error, message in faults:
+            changed = [*entries[:where], entry, *entries[where + 1:]]
+            path.write_bytes(oracle_snapshot([*rows[:k // length], (name, changed),
+                                              *rows[k // length + 1:]]))
+            with pytest.raises(error) as excinfo:
+                nc.read_snapshot(path)
+            assert str(excinfo.value) == message, (label, k)
+            planted += 1
+    assert planted >= 2 * len(NEAR_EDGES)

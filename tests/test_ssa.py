@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import tracemalloc
+from array import array
 from importlib import resources
 
 import pytest
@@ -17,6 +18,8 @@ from namecohort.ssa import (
 from oracles import (
     EXTRA_YEARS,
     SAMPLE_YEARS,
+    oracle_first_empty,
+    oracle_first_fall,
     oracle_p,
     oracle_snapshot,
     oracle_snapshot_rows,
@@ -583,3 +586,73 @@ def test_snapshot_bytes_that_are_not_utf8_name_file_and_line(tmp_path):
     with pytest.raises(SnapshotFormatError,
                        match=r"bad\.bin: name 3001 of the name block is not UTF-8"):
         nc.read_snapshot(path)
+
+
+# Years and counts at the edges of a lane's low bits and of its range.
+EDGE_YEARS = (0, 1, 32766, 32767, 32768, 32769, 65534, 65535)
+EDGE_COUNTS = (0, 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1)
+
+
+def random_columns(rng: random.Random, n_names: int, faults: float):
+    """Offsets and the years, female and male columns of n_names names of
+    one to seven entries, drawn half from the edge values. A name's years
+    rise, except that with probability faults they are left unsorted or get
+    a repeat; an entry's counts are both 0 with probability faults."""
+    offsets, years = array(ssa._U32, [0]), array(ssa._YEAR)
+    females, males = array(ssa._U32), array(ssa._U32)
+    for _ in range(n_names):
+        drawn = [rng.choice(EDGE_YEARS) if rng.random() < 0.5 else rng.randrange(2**16)
+                 for _ in range(rng.randint(1, 7))]
+        shape = rng.random()
+        name_years = (sorted(set(drawn)) if shape >= faults else drawn if shape < faults / 2
+                      else sorted(drawn + drawn[:1]))
+        years.extend(name_years)
+        offsets.append(len(years))
+        for _ in name_years:
+            female, male = (rng.choice(EDGE_COUNTS) if rng.random() < 0.5
+                            else rng.randrange(2**32) for _ in "fm")
+            if rng.random() < faults:
+                female = male = 0
+            elif not (female or male):
+                female = rng.choice(EDGE_COUNTS[1:])
+            females.append(female)
+            males.append(male)
+    return offsets, years, females, males
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 64, ssa._CHECK_BLOCK])
+def test_lane_checks_agree_with_the_per_entry_checks(monkeypatch, block):
+    monkeypatch.setattr(ssa, "_CHECK_BLOCK", block)
+    rng = random.Random(block)
+    outcomes, later = set(), set()
+    for _ in range(400):
+        offsets, years, females, males = random_columns(rng, rng.randint(0, 40),
+                                                        rng.choice((0, 0.01, 0.1, 0.5)))
+        fall, empty = oracle_first_fall(years, offsets), oracle_first_empty(females, males)
+        assert ssa._first_fall(years, offsets) == fall, (list(offsets), list(years))
+        assert ssa._first_empty(females, males) == empty, (list(females), list(males))
+        outcomes.add((fall >= 0, empty >= 0))
+        later |= {kind for kind, k in (("fall", fall), ("empty", empty)) if k >= block}
+    # Clean and faulty columns, and with small blocks faults of both kinds
+    # found past the first block.
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+    assert later == {"fall", "empty"} or block > 8
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, ssa._CHECK_BLOCK])
+def test_lane_checks_compare_every_pair_of_edge_values(monkeypatch, block):
+    # Each edge pair sits between neighbours that fill every bit of their lanes,
+    # and in a name of its own next to names of extreme years.
+    monkeypatch.setattr(ssa, "_CHECK_BLOCK", block)
+    for a, b in itertools.product(EDGE_YEARS, repeat=2):
+        years = array(ssa._YEAR, [65535, 0, a, b, 65535, 0])
+        for offsets in ([0, 1, 2, 4, 5, 6], [0, 2, 4, 6], [0, 6]):
+            offsets = array(ssa._U32, offsets)
+            assert ssa._first_fall(years, offsets) == oracle_first_fall(years, offsets), \
+                (a, b, list(offsets))
+    for female, male in itertools.product(EDGE_COUNTS, repeat=2):
+        for neighbour in (0, 2**31, 2**32 - 1):
+            females = array(ssa._U32, [neighbour, female, neighbour])
+            males = array(ssa._U32, [neighbour, male, neighbour])
+            assert ssa._first_empty(females, males) == oracle_first_empty(females, males), \
+                (female, male, neighbour)
